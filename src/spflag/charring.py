@@ -181,9 +181,6 @@ class LaurentPoly:
             out[(q, tuple(e))] = c
         return LaurentPoly(self.nvars, out)
 
-    def mass(self) -> Fraction:
-        return sum(self.terms.values(), Fraction(0))
-
 
 def evaluate_monomial(pt: RationalPoint, zexp: tuple[int, ...], q: int) -> Fraction:
     """Value of q^q * prod z_i^{e_i} at the point."""

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -16,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import bundles, charring, fixedpoints, geometry, polytope
-from .rootsys import TypeA, TypeC
+from .rootsys import TypeA, TypeC, check_d
 
 ENUM_LIMIT = 4
 ABL_LIMIT = 3
@@ -42,10 +43,22 @@ def _check_lambda(lam: tuple[int, ...], r: int) -> tuple[int, ...]:
     return lam
 
 
-def _check_d(d: tuple[int, ...], n: int) -> tuple[int, ...]:
-    if list(d) != sorted(set(d)) or not d or d[0] < 1 or d[-1] > n:
-        raise UsageError(f"d must be strictly increasing within 1..{n}, got {d}")
+def _valid_d(d: tuple[int, ...], n: int) -> tuple[int, ...]:
+    try:
+        check_d(d, n)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     return d
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _soft_limit(n: int, limit: int, force: bool, what: str) -> None:
@@ -58,8 +71,11 @@ def _soft_limit(n: int, limit: int, force: bool, what: str) -> None:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {output}: {exc}")
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -68,6 +84,8 @@ def _emit(text: str, output: str | None) -> None:
 
 def _system(args):
     if getattr(args, "system", "C") == "A":
+        if args.n < 2:
+            raise UsageError(f"--system A needs n >= 2, got {args.n}")
         return TypeA(args.n), args.n - 1
     return TypeC(args.n), args.n
 
@@ -138,26 +156,9 @@ def cmd_polytope(args) -> int:
     return 0
 
 
-def _complete_prefix(job):
-    n, prefix = job
-    return fixedpoints.enumerate_fixed_points(n, prefix)
-
-
-def _enumerate_parallel(n: int, threads: int):
-    if threads <= 1:
-        return fixedpoints.enumerate_fixed_points(n)
-    depth = max(1, min(n * n, (threads - 1).bit_length()))
-    prefixes = fixedpoints.prefix_split(n, depth)
-    out = []
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for chunk in pool.map(_complete_prefix, [(n, p) for p in prefixes]):
-            out.extend(chunk)
-    return out
-
-
 def cmd_fixed_points(args) -> int:
     _soft_limit(args.n, ENUM_LIMIT, args.force, "fixed-point enumeration")
-    colls = _enumerate_parallel(args.n, args.threads)
+    colls = fixedpoints.enumerate_fixed_points(args.n)
     if args.count:
         _emit(str(len(colls)), args.output)
         return 0
@@ -174,89 +175,28 @@ def cmd_fixed_points(args) -> int:
     return 0
 
 
-def _eval_chunk(job):
-    m_vec, n, terms_chunk, points, inverted = job
-    return [
-        fixedpoints.abl_evaluate(m_vec, pt, n, terms=terms_chunk, inverted=inverted)
-        for pt in points
-    ]
-
-
 def cmd_abl_verify(args) -> int:
     _soft_limit(args.n, ABL_LIMIT, args.force, "localization verification")
     lam = _check_lambda(_parse_ints(args.lam, "lambda"), args.n)
-    seed = args.seed if args.seed is not None else int(os.environ.get("SPFLAG_SEED", "0"))
-    if args.threads <= 1:
-        report = fixedpoints.abl_verify(lam, args.n, args.trials, seed)
+    seed = args.seed
+    if seed is None:
+        text = os.environ.get("SPFLAG_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise UsageError(f"SPFLAG_SEED must be an integer, got {text!r}")
+    if args.threads > 1:
+        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+            report = fixedpoints.abl_verify(lam, args.n, args.trials, seed, map=pool.map)
     else:
-        report = _abl_verify_parallel(lam, args.n, args.trials, seed, args.threads)
+        report = fixedpoints.abl_verify(lam, args.n, args.trials, seed)
     _emit(json.dumps(report, indent=2), args.output)
     return 0 if report["matched"] else 1
 
 
-def _abl_verify_parallel(lam, n, trials, seed, threads) -> dict:
-    """Same contract as fixedpoints.abl_verify, summing term chunks in workers."""
-    import random
-
-    rng = random.Random(seed)
-    terms = fixedpoints.abl_terms(n)
-    gc = polytope.graded_character(tuple(lam), TypeC(n))
-    points = []
-    attempts = 0
-    while len(points) < trials:
-        attempts += 1
-        if attempts > 50 * trials + 50:
-            raise fixedpoints.DenominatorZeroError(
-                "could not sample points avoiding denominator zeros"
-            )
-        pt = fixedpoints.sample_point(n, rng)
-        try:
-            fixedpoints.abl_evaluate((0,) * n, pt, n, terms=terms)
-        except fixedpoints.DenominatorZeroError:
-            continue
-        points.append(pt)
-    size = (len(terms) + threads - 1) // threads
-    chunks = [terms[k : k + size] for k in range(0, len(terms), size)]
-
-    def run(inverted: bool) -> list[dict]:
-        jobs = [(tuple(lam), n, chunk, points, inverted) for chunk in chunks]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(_eval_chunk, jobs))
-        rows = []
-        for idx, pt in enumerate(points):
-            lhs = sum((p[idx] for p in partials), Fraction(0))
-            rhs = gc.evaluate(pt)
-            rows.append(
-                {
-                    "z": [str(z) for z in pt.zs],
-                    "q": str(pt.q),
-                    "abl": str(lhs),
-                    "character": str(rhs),
-                    "equal": lhs == rhs,
-                }
-            )
-        return rows
-
-    rows = run(False)
-    convention = "direct"
-    if not all(r["equal"] for r in rows):
-        inv = run(True)
-        if all(r["equal"] for r in inv):
-            rows, convention = inv, "inverted"
-    return {
-        "n": n,
-        "lambda": list(lam),
-        "trials": trials,
-        "seed": seed,
-        "points": rows,
-        "matched": all(r["equal"] for r in rows),
-        "convention": convention,
-    }
-
-
 def cmd_discrepancy(args) -> int:
     _soft_limit(args.n, ENUM_LIMIT, args.force, "discrepancy tables")
-    d = _check_d(_parse_ints(args.d, "d"), args.n)
+    d = _valid_d(_parse_ints(args.d, "d"), args.n)
     rows = bundles.discrepancy_table(d, args.n)
     identity_ok, _ = bundles.verify_canonical_identity(d, args.n)
     if args.format == "csv":
@@ -296,11 +236,14 @@ def _load_flag(path: str) -> tuple[geometry.FlagPoint, int]:
         n = int(doc["n"])
         d = tuple(int(x) for x in doc["d"])
         spaces = tuple(_matrix_from_json(m, 2 * n) for m in doc["spaces"])
-    except (OSError, KeyError, ValueError, TypeError) as exc:
+    except (OSError, KeyError, ValueError, TypeError, ArithmeticError) as exc:
         raise UsageError(f"cannot read flag point from {path}: {exc}")
-    _check_d(d, n)
+    _valid_d(d, n)
     if len(spaces) != len(d):
         raise UsageError("number of spaces does not match d")
+    for dl, v in zip(d, spaces):
+        if v.dim != dl:
+            raise UsageError(f"V_{dl} has dimension {v.dim}, not {dl}")
     return geometry.FlagPoint(d, spaces), n
 
 
@@ -310,10 +253,7 @@ def cmd_check_geometry(args) -> int:
         raise UsageError(f"--n {args.n} disagrees with input file n = {n}")
     if args.d is not None and tuple(_parse_ints(args.d, "d")) != flag.d:
         raise UsageError(f"--d {args.d} disagrees with input file d = {list(flag.d)}")
-    try:
-        member = geometry.in_sp_flag_a(flag, n)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    member = geometry.in_sp_flag_a(flag, n)
     doc = {
         "command": "check-geometry",
         "n": n,
@@ -348,6 +288,7 @@ def cmd_lift(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="spflag",
@@ -356,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p, lam=False, d=False, system=False):
-        p.add_argument("--n", type=int, required=True, help="rank n (sp_2n)")
+        p.add_argument("--n", type=_positive_int, required=True, help="rank n (sp_2n)")
         if lam:
             p.add_argument(
                 "--lambda", dest="lam", required=True, help="m_1,...,m_n fundamental coefficients"
@@ -392,14 +333,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fixed-points", help="enumerate admissible collections")
     common(p)
     p.add_argument("--count", action="store_true", help="print only the count")
-    p.add_argument("--threads", type=int, default=1, help="worker count")
+    p.add_argument(
+        "--threads", type=_positive_int, default=1, help="accepted; has no effect"
+    )
     p.set_defaults(func=cmd_fixed_points)
 
     p = sub.add_parser("abl-verify", help="verify the localization character identity")
     common(p, lam=True)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=None, help="defaults to $SPFLAG_SEED or 0")
-    p.add_argument("--threads", type=int, default=1, help="worker count")
+    p.add_argument(
+        "--threads", type=_positive_int, default=1,
+        help="worker processes for the localization sum",
+    )
     p.set_defaults(func=cmd_abl_verify)
 
     p = sub.add_parser("discrepancy", help="discrepancy coefficients table")
@@ -408,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_discrepancy)
 
     p = sub.add_parser("check-geometry", help="flag membership test from a JSON file")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_positive_int, default=None)
     p.add_argument("--d", default=None)
     p.add_argument("--input", required=True)
     p.add_argument("--output")

@@ -8,6 +8,7 @@ exactly two choices at every step of the tower, so 2^(n^2) collections.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -30,34 +31,24 @@ def _ambient(i: int, j: int, n: int) -> frozenset[int]:
     return frozenset(range(1, i + 1)) | frozenset(range(j + 1, 2 * n + 1))
 
 
-def _choices(partial: Collection, i: int, j: int, n: int) -> tuple[int, int]:
-    """The two admissible new elements at position (i,j), given the earlier
-    components S_{i-1,j} and S_{i,j+1}."""
-    prev = partial.get((i - 1, j), frozenset())
+def _pool(coll: Collection, i: int, j: int, n: int) -> list[int]:
+    """The candidates for the new element at (i,j), sorted, given the earlier
+    components S_{i-1,j} and S_{i,j+1}.  Raises ValueError unless there are
+    exactly two, which signals a corrupted collection."""
+    prev = coll.get((i - 1, j), frozenset())
     if i + j < 2 * n:
-        pool = (partial[(i, j + 1)] | {j + 1}) - prev
+        pool = (coll[(i, j + 1)] | {j + 1}) - prev
     else:
         partners = {2 * n + 1 - l for l in prev}
         pool = _ambient(i, j, n) - prev - partners
     if len(pool) != 2:
-        raise ValueError(f"corrupted prefix: {len(pool)} candidates at ({i},{j})")
-    a, b = sorted(pool)
-    return a, b
+        raise ValueError(f"candidate set at ({i},{j}) has size {len(pool)}, not 2")
+    return sorted(pool)
 
 
-def enumerate_fixed_points(n: int, prefix: Collection | None = None) -> list[Collection]:
-    """All admissible collections, built in tower order; optionally only the
-    completions of a partial collection (prefix on an initial segment)."""
+def enumerate_fixed_points(n: int) -> list[Collection]:
+    """All admissible collections, built in tower order."""
     order = index_pairs(TypeC(n))
-    prefix = prefix or {}
-    for pos, ij in enumerate(order):
-        if ij not in prefix:
-            depth = pos
-            break
-    else:
-        depth = len(order)
-    if set(prefix) != set(order[:depth]):
-        raise ValueError("prefix must cover an initial segment of the tower order")
     out: list[Collection] = []
 
     def walk(partial: Collection, pos: int) -> None:
@@ -66,31 +57,13 @@ def enumerate_fixed_points(n: int, prefix: Collection | None = None) -> list[Col
             return
         i, j = order[pos]
         prev = partial.get((i - 1, j), frozenset())
-        for x in _choices(partial, i, j, n):
+        for x in _pool(partial, i, j, n):
             partial[(i, j)] = prev | {x}
             walk(partial, pos + 1)
             del partial[(i, j)]
 
-    walk(dict(prefix), depth)
+    walk({}, 0)
     return out
-
-
-def prefix_split(n: int, depth: int) -> list[Collection]:
-    """The 2^depth admissible prefixes on the first `depth` tower positions."""
-    order = index_pairs(TypeC(n))
-    depth = min(depth, len(order))
-    prefixes: list[Collection] = [{}]
-    for pos in range(depth):
-        i, j = order[pos]
-        grown = []
-        for p in prefixes:
-            prev = p.get((i - 1, j), frozenset())
-            for x in _choices(p, i, j, n):
-                q = dict(p)
-                q[(i, j)] = prev | {x}
-                grown.append(q)
-        prefixes = grown
-    return prefixes
 
 
 def is_admissible(coll: Collection, n: int) -> bool:
@@ -117,17 +90,11 @@ def ab_pair(coll: Collection, i: int, j: int, n: int) -> tuple[int, int]:
     Raises ValueError when the candidate set does not have exactly two
     elements split one-in/one-out, which signals a corrupted collection.
     """
+    pool = _pool(coll, i, j, n)
     prev = coll.get((i - 1, j), frozenset())
-    if i + j < 2 * n:
-        pool = (coll[(i, j + 1)] | {j + 1}) - prev
-    else:
-        partners = {2 * n + 1 - l for l in prev}
-        pool = _ambient(i, j, n) - prev - partners
-    if len(pool) != 2:
-        raise ValueError(f"candidate set at ({i},{j}) has size {len(pool)}, not 2")
     here = coll[(i, j)]
-    inside = [x for x in sorted(pool) if x in here]
-    outside = [x for x in sorted(pool) if x not in here]
+    inside = [x for x in pool if x in here]
+    outside = [x for x in pool if x not in here]
     if len(inside) != 1 or len(outside) != 1 or here != prev | {inside[0]}:
         raise ValueError(f"collection is inconsistent at ({i},{j})")
     return inside[0], outside[0]
@@ -243,16 +210,31 @@ def sample_point(n: int, rng: random.Random) -> RationalPoint:
     return RationalPoint(tuple(coords[:n]), coords[n])
 
 
+def _evaluate_point(
+    m_vec: tuple[int, ...], n: int, terms, inverted: bool, pt: RationalPoint
+) -> Fraction:
+    # A module-level name that pickles by reference, for process-pool maps,
+    # even while `abl_evaluate` itself is wrapped (say, by a profiler).
+    return abl_evaluate(m_vec, pt, n, terms=terms, inverted=inverted)
+
+
 def abl_verify(
     m_vec: tuple[int, ...],
     n: int,
     trials: int,
     seed: int,
     colls: list[Collection] | None = None,
+    map=map,
 ) -> dict:
     """Compare the localization sum with the polytope character at random
     rational points; on systematic mismatch retry once with inverted
-    variables and report which convention matched."""
+    variables and report which convention matched.
+
+    The point evaluations of each pass go through `map`; the `map` of a
+    process pool spreads them over workers without changing the report.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
     rng = random.Random(seed)
     terms = abl_terms(n, colls)
     gc = graded_character(tuple(m_vec), TypeC(n))
@@ -272,9 +254,9 @@ def abl_verify(
         points.append(pt)
 
     def run(inverted: bool) -> list[dict]:
+        evaluate = functools.partial(_evaluate_point, tuple(m_vec), n, terms, inverted)
         rows = []
-        for pt in points:
-            lhs = abl_evaluate(tuple(m_vec), pt, n, terms=terms, inverted=inverted)
+        for pt, lhs in zip(points, map(evaluate, points)):
             rhs = gc.evaluate(pt)
             rows.append(
                 {

@@ -86,27 +86,6 @@ def nullspace(rows, ncols: int) -> list[Vector]:
     return basis
 
 
-def det(rows) -> Q:
-    work = [list(map(Q, row)) for row in rows]
-    m = len(work)
-    sign = 1
-    for col in range(m):
-        piv = next((k for k in range(col, m) if work[k][col] != 0), None)
-        if piv is None:
-            return Q(0)
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            sign = -sign
-        for k in range(col + 1, m):
-            f = work[k][col] / work[col][col]
-            if f:
-                work[k] = [a - f * b for a, b in zip(work[k], work[col])]
-    out = Q(sign)
-    for k in range(m):
-        out *= work[k][k]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # subspaces
 
@@ -194,14 +173,14 @@ class Subspace:
         return Subspace.span(vecs, self.ambient)
 
 
+def _zeroed(v, kill: set[int]) -> Vector:
+    return tuple(Q(0) if (c + 1) in kill else x for c, x in enumerate(v))
+
+
 def project_away(u: Subspace, coords) -> Subspace:
     """Image under the projection that zeroes the given 1-indexed coordinates."""
     kill = set(coords)
-    vecs = [
-        tuple(Q(0) if (c + 1) in kill else x for c, x in enumerate(row))
-        for row in u.rows
-    ]
-    return Subspace.span(vecs, u.ambient)
+    return Subspace.span([_zeroed(row, kill) for row in u.rows], u.ambient)
 
 
 def w_space(i: int, j: int, n: int) -> Subspace:
@@ -342,8 +321,7 @@ def plucker_top_nonzero(u: Subspace, i: int) -> bool:
         raise ValueError("dimension mismatch")
     if i == 0:
         return True
-    minor = tuple(row[:i] for row in u.rows)
-    return det(minor) != 0
+    return len(rref(row[:i] for row in u.rows)) == i
 
 
 def in_open_cell(p: ResolutionPoint) -> bool:
@@ -366,9 +344,9 @@ def _transport_isotropic_constraint(
     """
     if current.dim == 0:
         return upper
-    middle = range(j + 1, 2 * n - i + 1)
-    pu = [project_away_vector(row, middle) for row in upper.rows]
-    pc = [project_away_vector(row, middle) for row in current.rows]
+    middle = set(range(j + 1, 2 * n - i + 1))
+    pu = [_zeroed(row, middle) for row in upper.rows]
+    pc = [_zeroed(row, middle) for row in current.rows]
     j_mat = symplectic_form(n)
     cmatrix = [[form_value(a, b, j_mat) for b in pc] for a in pu]
     sol = nullspace(mat_transpose(tuple(map(tuple, cmatrix))), len(pu))
@@ -380,11 +358,6 @@ def _transport_isotropic_constraint(
                 v = [a + coef * b for a, b in zip(v, row)]
         vecs.append(tuple(v))
     return Subspace.span(vecs, 2 * n)
-
-
-def project_away_vector(v, coords) -> Vector:
-    kill = set(coords)
-    return tuple(Q(0) if (c + 1) in kill else x for c, x in enumerate(v))
 
 
 def _extend_choice(
@@ -514,23 +487,14 @@ def isotropy_transport_check(u: Subspace, s, n: int, k: int) -> bool:
     s = Q(s)
     if s == 0:
         raise ValueError("transport needs s != 0")
-    if not _isotropic_for(u, flat_family_form(1, n, k)):
+    if not is_isotropic(u, n, flat_family_form(1, n, k)):
         raise ValueError("input subspace is not J_1-isotropic")
     moved = apply_matrix(eta_matrix(1 / s, n, k), u)
-    return _isotropic_for(moved, flat_family_form(s * s, n, k))
-
-
-def _isotropic_for(u: Subspace, j_mat: Matrix) -> bool:
-    rows = u.rows
-    for a in range(len(rows)):
-        for b in range(a + 1, len(rows)):
-            if form_value(rows[a], rows[b], j_mat) != 0:
-                return False
-    return True
+    return is_isotropic(moved, n, flat_family_form(s * s, n, k))
 
 
 def j0_isotropic(u: Subspace, n: int, k: int) -> bool:
-    return _isotropic_for(u, flat_family_form(0, n, k))
+    return is_isotropic(u, n, flat_family_form(0, n, k))
 
 
 # ---------------------------------------------------------------------------
@@ -572,21 +536,13 @@ def random_sp_flag(d: tuple[int, ...], n: int, rng: random.Random) -> FlagPoint:
 
 def random_sl_flag(two_n: int, rng: random.Random) -> list[Subspace]:
     """Random complete degenerate sl flag from a strictly lower matrix."""
+    if two_n % 2:
+        raise ValueError(f"ambient dimension must be even, got {two_n}")
     gamma = [[Q(0)] * two_n for _ in range(two_n)]
     for r in range(two_n):
         for c in range(r):
             gamma[r][c] = Q(rng.randint(-9, 9), rng.randint(1, 5))
-    spaces = []
-    for k in range(1, two_n):
-        vecs = []
-        for c in range(k):
-            v = [Q(0)] * two_n
-            v[c] = Q(1)
-            for r in range(k, two_n):
-                v[r] = gamma[r][c]
-            vecs.append(tuple(v))
-        spaces.append(Subspace.span(vecs, two_n))
-    return spaces
+    return list(unipotent_flag(gamma, tuple(range(1, two_n)), two_n // 2).spaces)
 
 
 def random_subspace(ambient: int, k: int, rng: random.Random) -> Subspace:

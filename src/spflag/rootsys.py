@@ -173,7 +173,7 @@ def radical_pairs(d: tuple[int, ...], n: int) -> frozenset[tuple[int, int]]:
     Membership is decided by the brute-force epsilon pairing rather than a
     hand-derived index rule.
     """
-    _check_d(d, n)
+    check_d(d, n)
     system = TypeC(n)
     fund = [fundamental_weight(dl, system) for dl in d]
     out = set()
@@ -193,7 +193,7 @@ def radical_roots(d: tuple[int, ...], n: int) -> frozenset[Root]:
 def boundary_pairs(d: tuple[int, ...], n: int) -> frozenset[tuple[int, int]]:
     """The subset B_d of P_d: runs up each column d_m, across to the next one,
     and along row d_k out to (d_k, 2n-d_k)."""
-    _check_d(d, n)
+    check_d(d, n)
     k = len(d)
     out = set()
     for m in range(k):
@@ -208,7 +208,8 @@ def boundary_pairs(d: tuple[int, ...], n: int) -> frozenset[tuple[int, int]]:
     return frozenset(out)
 
 
-def _check_d(d: tuple[int, ...], n: int) -> None:
+def check_d(d: tuple[int, ...], n: int) -> None:
+    """Raise ValueError unless d is a nonempty strictly increasing list in 1..n."""
     if len(d) == 0:
         raise ValueError("empty index list d")
     if list(d) != sorted(set(d)) or d[0] < 1 or d[-1] > n:

@@ -98,6 +98,14 @@ def test_abl_verify_seed_env(capture, monkeypatch):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_abl_verify_threads_do_not_change_output(capture, n):
+    args = ["abl-verify", "--n", str(n), "--lambda", ",".join("1" * n), "--trials", "3"]
+    rc1, out1 = capture(args + ["--seed", "4", "--threads", "1"])
+    rc2, out2 = capture(args + ["--seed", "4", "--threads", "2"])
+    assert rc1 == rc2 == 0 and out1 == out2
+
+
 def test_abl_verify_deterministic(capture):
     args = ["abl-verify", "--n", "2", "--lambda", "1,0", "--trials", "4", "--seed", "1"]
     rc1, out1 = capture(args)
@@ -120,15 +128,37 @@ def test_discrepancy_csv(capture):
     assert "1,2,3,True" in lines
 
 
-def test_usage_errors(capture):
-    rc, _ = capture(["dim", "--n", "2", "--lambda", "1,0,0"])
-    assert rc == 2
-    rc, _ = capture(["dim", "--n", "2", "--lambda", "1,x"])
-    assert rc == 2
-    rc, _ = capture(["discrepancy", "--n", "2", "--d", "2,1"])
-    assert rc == 2
-    rc, _ = capture(["fixed-points", "--n", "9", "--count"])
-    assert rc == 2
+def test_usage_errors(capsys, monkeypatch, tmp_path):
+    def fails(argv):
+        rc = run(argv)
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == "", argv
+        assert "error:" in err and "Traceback" not in err, argv
+
+    fails(["dim", "--n", "2", "--lambda", "1,0,0"])
+    fails(["dim", "--n", "2", "--lambda", "1,x"])
+    fails(["discrepancy", "--n", "2", "--d", "2,1"])
+    fails(["fixed-points", "--n", "9", "--count"])
+    fails(["dim", "--n", "0", "--lambda", ""])
+    fails(["fixed-points", "--n", "0"])
+    fails(["dim", "--system", "A", "--n", "1", "--lambda", ""])
+    fails(["abl-verify", "--n", "1", "--lambda", "1", "--trials", "0"])
+    fails(["abl-verify", "--n", "1", "--lambda", "1", "--trials", "-1"])
+    fails(["abl-verify", "--n", "1", "--lambda", "1", "--threads", "0"])
+    fails(["fixed-points", "--n", "1", "--threads", "-3"])
+    fails(["dim", "--n", "1", "--lambda", "1", "--output", str(tmp_path / "no" / "such")])
+
+    monkeypatch.setenv("SPFLAG_SEED", "abc")
+    fails(["abl-verify", "--n", "1", "--lambda", "1", "--trials", "1"])
+
+    zero_denominator = {"n": 1, "d": [1], "spaces": [[["1/0", "1"]]]}
+    # V_1 is given a 2-dimensional basis.
+    wrong_dim = {"n": 2, "d": [1], "spaces": [[["1", "0", "0", "0"], ["0", "1", "0", "0"]]]}
+    for k, doc in enumerate([zero_denominator, wrong_dim]):
+        path = tmp_path / f"bad{k}.json"
+        path.write_text(json.dumps(doc))
+        fails(["lift", "--input", str(path)])
+        fails(["check-geometry", "--input", str(path)])
 
 
 def test_force_overrides_soft_limit(capture):

@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from spflag import fixedpoints
 from spflag.charring import RationalPoint
 from spflag.fixedpoints import (
     DenominatorZeroError,
@@ -13,7 +14,6 @@ from spflag.fixedpoints import (
     denominator_deltas,
     enumerate_fixed_points,
     is_admissible,
-    prefix_split,
     realization,
     sample_point,
     sl2_closed_form_check,
@@ -63,20 +63,6 @@ def test_admissible_matches_exhaustive_coordinate_points_n2():
         assert member == (key in admissible)
         count += member
     assert count == 16
-
-
-def test_prefix_split_partitions_enumeration():
-    n = 2
-    full = enumerate_fixed_points(n)
-    pieces = []
-    for prefix in prefix_split(n, 2):
-        pieces.extend(enumerate_fixed_points(n, prefix))
-    assert pieces == full
-
-
-def test_prefix_must_be_initial_segment():
-    with pytest.raises(ValueError):
-        enumerate_fixed_points(2, {(1, 1): frozenset({1})})
 
 
 def test_ab_pair_n1():
@@ -211,6 +197,37 @@ def test_abl_verify_matches_direct():
     assert len(report["points"]) == 20
     report = abl_verify((0, 1), 2, 10, seed=6)
     assert report["matched"] and report["convention"] == "direct"
+
+
+def test_abl_verify_sends_every_evaluation_through_map(monkeypatch):
+    inside = [False]
+    calls = []
+    real = fixedpoints.abl_evaluate
+
+    def counting(m_vec, *args, **kwargs):
+        calls.append((tuple(m_vec), inside[0]))
+        return real(m_vec, *args, **kwargs)
+
+    def recording_map(fn, items):
+        inside[0] = True
+        try:
+            return [fn(x) for x in items]
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(fixedpoints, "abl_evaluate", counting)
+    # Five of the sixteen collections sum to neither convention, so both the
+    # direct and the inverted pass run.
+    colls = enumerate_fixed_points(2)[:5]
+    report = abl_verify((1, 0), 2, 3, seed=1, colls=colls, map=recording_map)
+    assert not report["matched"]
+    weighted = [through_map for m_vec, through_map in calls if m_vec == (1, 0)]
+    assert len(weighted) == 2 * 3 and all(weighted)
+
+
+def test_abl_verify_rejects_zero_trials():
+    with pytest.raises(ValueError):
+        abl_verify((1,), 1, 0, seed=0)
 
 
 def test_abl_verify_zero_weight():

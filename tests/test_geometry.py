@@ -84,9 +84,9 @@ def test_symplectic_form_antisymmetric(n):
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_symplectic_form_unimodular(n):
-    from spflag.geometry import det
-
-    assert det(symplectic_form(n)) == 1
+    j = symplectic_form(n)
+    minus_one = tuple(tuple(-1 if r == c else 0 for c in range(2 * n)) for r in range(2 * n))
+    assert mat_mul(j, j) == minus_one
 
 
 def test_isotropy_basics():
@@ -262,6 +262,11 @@ def test_sigma_squared_random():
     for _ in range(20):
         spaces = random_sl_flag(6, rng)
         assert sigma_involution(sigma_involution(spaces)) == spaces
+
+
+def test_random_sl_flag_needs_even_ambient():
+    with pytest.raises(ValueError):
+        random_sl_flag(5, random.Random(0))
 
 
 def test_sigma_fixes_coordinate_flag():

@@ -1,0 +1,110 @@
+"""Golden stdout digests of the CLI at n <= 3.
+
+Each digest is the sha256 of the exact bytes a command writes to stdout.  The
+contract in docs/formats.md promises byte-identical output across refactors
+and for every --threads value, so a changed digest is a changed contract.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from spflag.cli import run
+
+FLAGS = {
+    "flag_123": {
+        "n": 3,
+        "d": [1, 2, 3],
+        "spaces": [
+            [["1", "8", "5/3", "-3/2", "5/4", "1"]],
+            [["1", "0", "5/3", "-3/2", "5/4", "1"], ["0", "1", "-5", "7/4", "7/5", "5/4"]],
+            [
+                ["1", "0", "0", "-3/2", "5/4", "1"],
+                ["0", "1", "0", "7/4", "7/5", "5/4"],
+                ["0", "0", "1", "-4", "7/4", "-3/2"],
+            ],
+        ],
+    },
+    # d = (1,3) and d = (2,) leave components free, so lift takes the
+    # deterministic extension path rather than only forced steps.
+    "flag_13": {
+        "n": 3,
+        "d": [1, 3],
+        "spaces": [
+            [["1", "8", "5/3", "-3/2", "5/4", "1"]],
+            [
+                ["1", "0", "0", "-3/2", "5/4", "1"],
+                ["0", "1", "0", "7/4", "7/5", "5/4"],
+                ["0", "0", "1", "-4", "7/4", "-3/2"],
+            ],
+        ],
+    },
+    "flag_2": {
+        "n": 3,
+        "d": [2],
+        "spaces": [
+            [["1", "0", "5/3", "-3/2", "5/4", "1"], ["0", "1", "-5", "7/4", "7/5", "5/4"]],
+        ],
+    },
+}
+
+GOLDEN = {
+    "qchar --n 3 --lambda 1,0,1":
+        "d6bf94f4c0a5feb4058ab3207caf30ba3e8c327a619a65ce5bf2ac20243f754b",
+    "qchar --n 3 --lambda 0,1,1 --weight-basis omega":
+        "9aa886f2eeea74ce4a8fb5c0d9a34fb598c76b8f2502cfd906fd3e8c3b60204f",
+    "qchar --n 3 --lambda 1,1 --system A --weight-basis omega":
+        "b148fb2b08a75809c01cb1922850933bb999f37152924d64f6cf903866a17a58",
+    "weyl --n 3 --lambda 0,1,0":
+        "0d91c455b7f6f2f5aad9ed9e85e50c2d90c2f84159bdb62fb0f686f0d97bf709",
+    "weyl --n 2 --lambda 2,1 --weight-basis omega":
+        "47eed2426ebc0c44b9106b4bf36287c4dc67b1d4312d5f015caaf2c4a734bac6",
+    "polytope --n 3 --lambda 1,0,1":
+        "e30b56ed25ac480a082da4c4d196b2e4e6316c13e620a0cf14c1b61418a51887",
+    "polytope --n 3 --lambda 1,1 --system A":
+        "a803cfedbf9d30f352c94e81b429e6a642bc0753600920ae7bf6f8897df3c6b4",
+    "fixed-points --n 3":
+        "d21b7f85caafa9f28e4d390b428aa6b408c3fecc3fdfdacc289bd279b11102b8",
+    "fixed-points --n 3 --count":
+        "240269e94afb4bbc4c643851e366bf4f0d870ff0753d250b854f748cf3516285",
+    "fixed-points --n 3 --threads 4":
+        "d21b7f85caafa9f28e4d390b428aa6b408c3fecc3fdfdacc289bd279b11102b8",
+    "discrepancy --n 3 --d 1,3":
+        "143ab449ea27abf8659a10f321043168bf568fe64483c037a4e3f8fd38a44b51",
+    "discrepancy --n 3 --d 1,3 --format csv":
+        "edf3ecfddc3baa7a670b936f3bec53cf0e2265886dced65a99329198ecaf1f55",
+    "discrepancy --n 3 --d 1,2,3 --format csv":
+        "0f1db071ad98249fbe2861c9cb28986075cb79587a0283ffd2909e8a7a593236",
+    "lift --input {flag_123}":
+        "e21938831d62be354e964d4e655022bd49760d9a98e62a291c018a90f8942ac0",
+    "lift --input {flag_13}":
+        "0b9900001b7789088092839bdbedcfbf68cbf429e1ce15b959d8db250e6d8c93",
+    "lift --input {flag_2}":
+        "ebcfad957dd10c1be230278508c2075bce0b9dd7b7f01a79fd4bdc67bbfc14d5",
+    "check-geometry --input {flag_13}":
+        "07f9693de52a46481cf6c029ef7fcea08100a336af6336e3ed352d0a11d88813",
+    "abl-verify --n 2 --lambda 1,1 --trials 5 --seed 7 --threads 1":
+        "19e560653cc048a95093055f755fe26330f01f2f04f5f75c8f559ed978182c18",
+    "abl-verify --n 2 --lambda 1,1 --trials 5 --seed 7 --threads 2":
+        "19e560653cc048a95093055f755fe26330f01f2f04f5f75c8f559ed978182c18",
+    "abl-verify --n 3 --lambda 1,0,1 --trials 2 --seed 3 --threads 1":
+        "5e35b32fd11224e20430eac2b324dc92979ae5578a05cb22af77a8ec18f71300",
+    "abl-verify --n 3 --lambda 1,0,1 --trials 2 --seed 3 --threads 2":
+        "5e35b32fd11224e20430eac2b324dc92979ae5578a05cb22af77a8ec18f71300",
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_stdout_digest(command, tmp_path, capsys):
+    argv = []
+    for word in command.split():
+        if word.startswith("{"):
+            path = tmp_path / f"{word.strip('{}')}.json"
+            path.write_text(json.dumps(FLAGS[word.strip("{}")]))
+            word = str(path)
+        argv.append(word)
+    rc = run(argv)
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
