@@ -13,14 +13,13 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import bundles, charring, fixedpoints, geometry, polytope
 from .rootsys import TypeA, TypeC, check_d
 
 ENUM_LIMIT = 4
-ABL_LIMIT = 3
+ABL_LIMIT = 4
 
 
 class UsageError(Exception):
@@ -69,16 +68,25 @@ def _soft_limit(n: int, limit: int, force: bool, what: str) -> None:
         )
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(doc, output: str | None) -> None:
+    """Stream `doc` as indented JSON, or write it as is when it is text, to
+    stdout with a final newline or to the `output` file without one."""
+
+    def write(fh) -> None:
+        if isinstance(doc, str):
+            fh.write(doc)
+        else:
+            json.dump(doc, fh, indent=2)
+
     if output:
         try:
             with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                write(fh)
         except OSError as exc:
             raise UsageError(f"cannot write {output}: {exc}")
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
+        write(sys.stdout)
+        if not (isinstance(doc, str) and doc.endswith("\n")):
             sys.stdout.write("\n")
 
 
@@ -98,7 +106,7 @@ def cmd_dim(args) -> int:
     system, r = _system(args)
     _soft_limit(args.n, ENUM_LIMIT, args.force, "lattice enumeration")
     lam = _check_lambda(_parse_ints(args.lam, "lambda"), r)
-    _emit(str(polytope.dimension(lam, system)), args.output)
+    _emit(polytope.dimension(lam, system), args.output)
     return 0
 
 
@@ -114,7 +122,7 @@ def cmd_qchar(args) -> int:
         "weight_basis": args.weight_basis,
         "terms": charring.to_json_terms(gc, args.weight_basis),
     }
-    _emit(json.dumps(doc, indent=2), args.output)
+    _emit(doc, args.output)
     return 0
 
 
@@ -130,7 +138,7 @@ def cmd_weyl(args) -> int:
         "weight_basis": args.weight_basis,
         "terms": charring.to_json_terms(ch, args.weight_basis),
     }
-    _emit(json.dumps(doc, indent=2), args.output)
+    _emit(doc, args.output)
     return 0
 
 
@@ -152,7 +160,7 @@ def cmd_polytope(args) -> int:
         "points": [list(p) for p in points],
         "count": len(points),
     }
-    _emit(json.dumps(doc, indent=2), args.output)
+    _emit(doc, args.output)
     return 0
 
 
@@ -160,7 +168,7 @@ def cmd_fixed_points(args) -> int:
     _soft_limit(args.n, ENUM_LIMIT, args.force, "fixed-point enumeration")
     colls = fixedpoints.enumerate_fixed_points(args.n)
     if args.count:
-        _emit(str(len(colls)), args.output)
+        _emit(len(colls), args.output)
         return 0
     doc = {
         "command": "fixed-points",
@@ -171,7 +179,7 @@ def cmd_fixed_points(args) -> int:
             for coll in colls
         ],
     }
-    _emit(json.dumps(doc, indent=2), args.output)
+    _emit(doc, args.output)
     return 0
 
 
@@ -185,12 +193,8 @@ def cmd_abl_verify(args) -> int:
             seed = int(text)
         except ValueError:
             raise UsageError(f"SPFLAG_SEED must be an integer, got {text!r}")
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            report = fixedpoints.abl_verify(lam, args.n, args.trials, seed, map=pool.map)
-    else:
-        report = fixedpoints.abl_verify(lam, args.n, args.trials, seed)
-    _emit(json.dumps(report, indent=2), args.output)
+    report = fixedpoints.abl_verify(lam, args.n, args.trials, seed)
+    _emit(report, args.output)
     return 0 if report["matched"] else 1
 
 
@@ -213,12 +217,21 @@ def cmd_discrepancy(args) -> int:
             "rows": rows,
             "canonical_identity": identity_ok,
         }
-        _emit(json.dumps(doc, indent=2), args.output)
+        _emit(doc, args.output)
     return 0 if identity_ok else 1
 
 
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be a JSON array")
+    return value
+
+
 def _matrix_from_json(rows, two_n: int) -> geometry.Subspace:
-    vecs = [[Fraction(x) for x in row] for row in rows]
+    vecs = [
+        [Fraction(x) for x in _json_list(row, "a row")]
+        for row in _json_list(rows, "a space")
+    ]
     for v in vecs:
         if len(v) != two_n:
             raise UsageError(f"matrix rows must have length {two_n}")
@@ -234,9 +247,11 @@ def _load_flag(path: str) -> tuple[geometry.FlagPoint, int]:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         n = int(doc["n"])
-        d = tuple(int(x) for x in doc["d"])
-        spaces = tuple(_matrix_from_json(m, 2 * n) for m in doc["spaces"])
-    except (OSError, KeyError, ValueError, TypeError, ArithmeticError) as exc:
+        d = tuple(int(x) for x in _json_list(doc["d"], "d"))
+        spaces = tuple(
+            _matrix_from_json(m, 2 * n) for m in _json_list(doc["spaces"], "spaces")
+        )
+    except (OSError, KeyError, ValueError, TypeError, ArithmeticError, RecursionError) as exc:
         raise UsageError(f"cannot read flag point from {path}: {exc}")
     _valid_d(d, n)
     if len(spaces) != len(d):
@@ -261,7 +276,7 @@ def cmd_check_geometry(args) -> int:
         "member": member,
         "dims": [v.dim for v in flag.spaces],
     }
-    _emit(json.dumps(doc, indent=2), args.output)
+    _emit(doc, args.output)
     return 0 if member else 1
 
 
@@ -270,7 +285,7 @@ def cmd_lift(args) -> int:
     try:
         point = geometry.lift(flag, n)
     except geometry.LiftError as exc:
-        _emit(json.dumps({"command": "lift", "error": str(exc)}, indent=2), args.output)
+        _emit({"command": "lift", "error": str(exc)}, args.output)
         return 1
     doc = {
         "command": "lift",
@@ -280,7 +295,7 @@ def cmd_lift(args) -> int:
             f"{i},{j}": _matrix_to_json(v) for (i, j), v in sorted(point.spaces.items())
         },
     }
-    _emit(json.dumps(doc, indent=2), args.output)
+    _emit(doc, args.output)
     return 0
 
 
@@ -296,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, lam=False, d=False, system=False):
+    def common(p, lam=False, d=False, system=False, threads=False):
         p.add_argument("--n", type=_positive_int, required=True, help="rank n (sp_2n)")
         if lam:
             p.add_argument(
@@ -308,6 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--system", choices=["C", "A"], default="C",
                 help="root system: C (sp_2n, default) or A (sl_n; lambda has n-1 entries)",
+            )
+        if threads:
+            p.add_argument(
+                "--threads", type=_positive_int, default=1, help="accepted; has no effect"
             )
         p.add_argument("--force", action="store_true", help="override soft size limits")
         p.add_argument("--output", help="write output to a file instead of stdout")
@@ -331,21 +350,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_polytope)
 
     p = sub.add_parser("fixed-points", help="enumerate admissible collections")
-    common(p)
+    common(p, threads=True)
     p.add_argument("--count", action="store_true", help="print only the count")
-    p.add_argument(
-        "--threads", type=_positive_int, default=1, help="accepted; has no effect"
-    )
     p.set_defaults(func=cmd_fixed_points)
 
     p = sub.add_parser("abl-verify", help="verify the localization character identity")
-    common(p, lam=True)
+    common(p, lam=True, threads=True)
     p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=None, help="defaults to $SPFLAG_SEED or 0")
-    p.add_argument(
-        "--threads", type=_positive_int, default=1,
-        help="worker processes for the localization sum",
-    )
     p.set_defaults(func=cmd_abl_verify)
 
     p = sub.add_parser("discrepancy", help="discrepancy coefficients table")

@@ -8,7 +8,6 @@ exactly two choices at every step of the tower, so 2^(n^2) collections.
 
 from __future__ import annotations
 
-import functools
 import random
 from fractions import Fraction
 
@@ -141,62 +140,64 @@ def abl_numerator_weight(
 
 def denominator_deltas(coll: Collection, n: int) -> list[tuple[tuple[int, ...], int]]:
     """Extended weights wtq(S'_{i,j}) - wtq(S_{i,j}) over all positions."""
-    out = []
-    for i, j in index_pairs(TypeC(n)):
-        a, b = ab_pair(coll, i, j, n)
-        wa, wb = basis_weight(a, n), basis_weight(b, n)
-        dw = tuple(y - x for x, y in zip(wa, wb))
-        dq = (1 if b > i else 0) - (1 if a > i else 0)
-        out.append((dw, dq))
-    return out
+    return [_delta(*ab_pair(coll, i, j, n), i, n) for i, j in index_pairs(TypeC(n))]
 
 
-def abl_terms(n: int, colls: list[Collection] | None = None):
-    """Per-collection localization data: diagonal components and denominator
-    weight differences (independent of the highest weight)."""
-    colls = colls if colls is not None else enumerate_fixed_points(n)
-    out = []
-    for coll in colls:
-        diag = [wtq_component(coll[(i, i)], i, n) for i in range(1, n + 1)]
-        out.append((diag, denominator_deltas(coll, n)))
-    return out
+def _delta(a: int, b: int, i: int, n: int) -> tuple[tuple[int, ...], int]:
+    """Extended weight change at level i when the sibling b replaces a."""
+    wa, wb = basis_weight(a, n), basis_weight(b, n)
+    return tuple(y - x for x, y in zip(wa, wb)), (b > i) - (a > i)
 
 
 def abl_evaluate(
     m_vec: tuple[int, ...],
     pt: RationalPoint,
     n: int,
-    terms=None,
     inverted: bool = False,
 ) -> Fraction:
     """Exact value of the localization sum at a rational point.
 
-    Raises DenominatorZeroError when some factor 1 - e^Delta vanishes at the
-    point; callers resample.  With inverted=True the whole sum is read in the
-    variables z -> 1/z, q -> 1/q.
+    The sum runs over the tower in `index_pairs` order.  The two branches at
+    (i,j) divide by 1 - e^Delta(a,b), and at a diagonal (i,i) the branch also
+    multiplies by e^{m_i wtq(S_ii)}; each factor reads only S_{i-1,j} and
+    S_{i,j+1}, so partial sums are merged on the components a later step
+    still reads.  Every edge of the tower is evaluated whatever m_vec is, so
+    DenominatorZeroError is raised exactly when some factor 1 - e^Delta of
+    some collection vanishes at the point; callers resample.  With
+    inverted=True the whole sum is read in the variables z -> 1/z, q -> 1/q.
     """
     if len(pt.zs) != n:
         raise ValueError("point dimension mismatch")
     if inverted:
         pt = pt.inverted()
-    if terms is None:
-        terms = abl_terms(n)
-    total = Fraction(0)
-    for diag, deltas in terms:
-        num_w = [0] * n
-        num_q = 0
-        for m, (cw, cq) in zip(m_vec, diag):
-            if m:
-                num_w = [a + m * b for a, b in zip(num_w, cw)]
-                num_q += m * cq
-        value = evaluate_monomial(pt, tuple(num_w), num_q)
-        for dw, dq in deltas:
-            factor = 1 - evaluate_monomial(pt, dw, dq)
-            if factor == 0:
-                raise DenominatorZeroError(f"denominator vanished at {pt}")
-            value /= factor
-        total += value
-    return total
+    order = index_pairs(TypeC(n))
+    last_read: dict[Pair, int] = {}
+    for pos, (i, j) in enumerate(order):
+        last_read[(i - 1, j)] = pos
+        if i + j < 2 * n:
+            last_read[(i, j + 1)] = pos
+    # states: the live components before a step -> sum of the partial products
+    states: dict[tuple[frozenset[int], ...], Fraction] = {(): Fraction(1)}
+    live: list[Pair] = []
+    for pos, (i, j) in enumerate(order):
+        after = [p for p in live + [(i, j)] if last_read.get(p, -1) > pos]
+        merged: dict[tuple[frozenset[int], ...], Fraction] = {}
+        for key, value in states.items():
+            coll = dict(zip(live, key))
+            prev = coll.get((i - 1, j), frozenset())
+            pool = _pool(coll, i, j, n)
+            for a, b in (pool, pool[::-1]):
+                factor = 1 - evaluate_monomial(pt, *_delta(a, b, i, n))
+                if factor == 0:
+                    raise DenominatorZeroError(f"denominator vanished at {pt}")
+                here = coll[(i, j)] = prev | {a}
+                term = value / factor
+                if i == j and m_vec[i - 1]:
+                    term *= evaluate_monomial(pt, *wtq_component(here, i, n)) ** m_vec[i - 1]
+                nxt = tuple(coll[p] for p in after)
+                merged[nxt] = merged.get(nxt, 0) + term
+        states, live = merged, after
+    return sum(states.values(), Fraction(0))
 
 
 def sample_point(n: int, rng: random.Random) -> RationalPoint:
@@ -210,35 +211,19 @@ def sample_point(n: int, rng: random.Random) -> RationalPoint:
     return RationalPoint(tuple(coords[:n]), coords[n])
 
 
-def _evaluate_point(
-    m_vec: tuple[int, ...], n: int, terms, inverted: bool, pt: RationalPoint
-) -> Fraction:
-    # A module-level name that pickles by reference, for process-pool maps,
-    # even while `abl_evaluate` itself is wrapped (say, by a profiler).
-    return abl_evaluate(m_vec, pt, n, terms=terms, inverted=inverted)
-
-
-def abl_verify(
-    m_vec: tuple[int, ...],
-    n: int,
-    trials: int,
-    seed: int,
-    colls: list[Collection] | None = None,
-    map=map,
-) -> dict:
+def abl_verify(m_vec: tuple[int, ...], n: int, trials: int, seed: int) -> dict:
     """Compare the localization sum with the polytope character at random
     rational points; on systematic mismatch retry once with inverted
     variables and report which convention matched.
 
-    The point evaluations of each pass go through `map`; the `map` of a
-    process pool spreads them over workers without changing the report.
+    A sampled point at which some denominator vanishes is skipped.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     rng = random.Random(seed)
-    terms = abl_terms(n, colls)
     gc = graded_character(tuple(m_vec), TypeC(n))
     points: list[RationalPoint] = []
+    direct: list[Fraction] = []
     attempts = 0
     while len(points) < trials:
         attempts += 1
@@ -248,31 +233,28 @@ def abl_verify(
             )
         pt = sample_point(n, rng)
         try:
-            abl_evaluate((0,) * n, pt, n, terms=terms)
+            direct.append(abl_evaluate(m_vec, pt, n))
         except DenominatorZeroError:
             continue
         points.append(pt)
+    character = [gc.evaluate(pt) for pt in points]
 
-    def run(inverted: bool) -> list[dict]:
-        evaluate = functools.partial(_evaluate_point, tuple(m_vec), n, terms, inverted)
-        rows = []
-        for pt, lhs in zip(points, map(evaluate, points)):
-            rhs = gc.evaluate(pt)
-            rows.append(
-                {
-                    "z": [str(z) for z in pt.zs],
-                    "q": str(pt.q),
-                    "abl": str(lhs),
-                    "character": str(rhs),
-                    "equal": lhs == rhs,
-                }
-            )
-        return rows
+    def rows_for(values: list[Fraction]) -> list[dict]:
+        return [
+            {
+                "z": [str(z) for z in pt.zs],
+                "q": str(pt.q),
+                "abl": str(lhs),
+                "character": str(rhs),
+                "equal": lhs == rhs,
+            }
+            for pt, lhs, rhs in zip(points, values, character)
+        ]
 
-    rows = run(inverted=False)
+    rows = rows_for(direct)
     convention = "direct"
     if not all(r["equal"] for r in rows):
-        inv_rows = run(inverted=True)
+        inv_rows = rows_for([abl_evaluate(m_vec, pt, n, inverted=True) for pt in points])
         if all(r["equal"] for r in inv_rows):
             rows, convention = inv_rows, "inverted"
     return {

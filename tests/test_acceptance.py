@@ -99,6 +99,16 @@ def test_criterion_3_localization_identity():
     _report(3, "fixed-point sum equals graded character (20 exact trials each)", ok, time.time() - start, 600)
 
 
+def test_criterion_3_localization_identity_n4():
+    start = time.time()
+    ok = True
+    cases = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)]
+    for lam in cases:
+        report = abl_verify(lam, 4, trials=3, seed=20_004)
+        ok = ok and report["matched"] and all(r["equal"] for r in report["points"])
+    _report(3, "fixed-point sum equals graded character at n = 4 (3 exact trials each)", ok, time.time() - start, 600)
+
+
 def test_criterion_4_fixed_point_census():
     start = time.time()
     ok = True
@@ -185,6 +195,7 @@ ALL = [
     test_criterion_1_dimension_oracle,
     test_criterion_2_character_oracle,
     test_criterion_3_localization_identity,
+    test_criterion_3_localization_identity_n4,
     test_criterion_4_fixed_point_census,
     test_criterion_5_discrepancy_suite,
     test_criterion_6_geometry_round_trips,

@@ -154,9 +154,14 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
     zero_denominator = {"n": 1, "d": [1], "spaces": [[["1/0", "1"]]]}
     # V_1 is given a 2-dimensional basis.
     wrong_dim = {"n": 2, "d": [1], "spaces": [[["1", "0", "0", "0"], ["0", "1", "0", "0"]]]}
-    for k, doc in enumerate([zero_denominator, wrong_dim]):
+    # Strings where arrays belong would be read character by character.
+    row_as_text = {"n": 1, "d": [1], "spaces": [["12"]]}
+    d_as_text = {"n": 2, "d": "12", "spaces": [[["1", "0", "0", "0"]], [["0", "1", "0", "0"]]]}
+    texts = [json.dumps(doc) for doc in (zero_denominator, wrong_dim, row_as_text, d_as_text)]
+    texts.append("[" * 100_000)  # nested deeper than the parser's recursion limit
+    for k, text in enumerate(texts):
         path = tmp_path / f"bad{k}.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(text)
         fails(["lift", "--input", str(path)])
         fails(["check-geometry", "--input", str(path)])
 
@@ -218,3 +223,14 @@ def test_output_file(tmp_path, capture):
     target = tmp_path / "out.txt"
     rc, out = capture(["dim", "--n", "1", "--lambda", "4", "--output", str(target)])
     assert rc == 0 and target.read_text() == "5"
+
+
+def test_output_file_holds_stdout_without_the_final_newline(tmp_path, capture):
+    argv = ["fixed-points", "--n", "1"]
+    rc, out = capture(argv)
+    target = tmp_path / "out.json"
+    assert capture(argv + ["--output", str(target)]) == (0, "")
+    expected = {"command": "fixed-points", "n": 1, "count": 2,
+                "collections": [{"1,1": [1]}, {"1,1": [2]}]}
+    assert rc == 0 and out == target.read_text() + "\n"
+    assert target.read_text() == json.dumps(expected, indent=2)

@@ -1,10 +1,12 @@
+import json
 import random
 from fractions import Fraction as Q
 
 import pytest
 
 from spflag import fixedpoints
-from spflag.charring import RationalPoint
+from spflag.charring import RationalPoint, evaluate_monomial
+from spflag.cli import run
 from spflag.fixedpoints import (
     DenominatorZeroError,
     ab_pair,
@@ -199,30 +201,69 @@ def test_abl_verify_matches_direct():
     assert report["matched"] and report["convention"] == "direct"
 
 
-def test_abl_verify_sends_every_evaluation_through_map(monkeypatch):
-    inside = [False]
-    calls = []
-    real = fixedpoints.abl_evaluate
+def _brute_sum(m_vec, pt, n, colls, inverted=False):
+    """The localization sum collection by collection, as the reference."""
+    if inverted:
+        pt = pt.inverted()
+    total = Q(0)
+    for coll in colls:
+        value = evaluate_monomial(pt, *abl_numerator_weight(coll, m_vec, n))
+        for delta in denominator_deltas(coll, n):
+            factor = 1 - evaluate_monomial(pt, *delta)
+            if factor == 0:
+                raise DenominatorZeroError(f"denominator vanished at {pt}")
+            value /= factor
+        total += value
+    return total
 
-    def counting(m_vec, *args, **kwargs):
-        calls.append((tuple(m_vec), inside[0]))
-        return real(m_vec, *args, **kwargs)
 
-    def recording_map(fn, items):
-        inside[0] = True
-        try:
-            return [fn(x) for x in items]
-        finally:
-            inside[0] = False
+def _value_or_zero(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except DenominatorZeroError:
+        return "denominator zero"
 
-    monkeypatch.setattr(fixedpoints, "abl_evaluate", counting)
-    # Five of the sixteen collections sum to neither convention, so both the
-    # direct and the inverted pass run.
-    colls = enumerate_fixed_points(2)[:5]
-    report = abl_verify((1, 0), 2, 3, seed=1, colls=colls, map=recording_map)
-    assert not report["matched"]
-    weighted = [through_map for m_vec, through_map in calls if m_vec == (1, 0)]
-    assert len(weighted) == 2 * 3 and all(weighted)
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_abl_evaluate_equals_brute_force_sum(n):
+    colls = enumerate_fixed_points(n)
+    weights = [(0,) * n, (1,) * n, tuple(range(n, 0, -1)), (0,) * (n - 1) + (2,)]
+    rng = random.Random(100 + n)
+    points = [sample_point(n, rng) for _ in range(6)]
+    outcomes = []
+    for pt in points:
+        for m_vec in weights:
+            for inverted in (False, True):
+                got = _value_or_zero(abl_evaluate, m_vec, pt, n, inverted=inverted)
+                want = _value_or_zero(_brute_sum, m_vec, pt, n, colls, inverted=inverted)
+                assert got == want, (m_vec, pt, inverted)
+                outcomes.append(got == "denominator zero")
+    if n == 3:
+        # the sample holds points on both sides of the screen
+        assert any(outcomes) and not all(outcomes)
+
+
+def _patch_character(monkeypatch, change):
+    real = fixedpoints.graded_character
+    monkeypatch.setattr(
+        fixedpoints, "graded_character", lambda m_vec, system: change(real(m_vec, system))
+    )
+
+
+def test_abl_verify_retries_in_inverted_variables(monkeypatch):
+    _patch_character(monkeypatch, lambda gc: gc.invert_variables())
+    report = abl_verify((1, 0), 2, 4, seed=2)
+    assert report["matched"] and report["convention"] == "inverted"
+    assert len(report["points"]) == 4
+
+
+def test_abl_verify_reports_a_mismatch_in_both_conventions(monkeypatch, capsys):
+    _patch_character(monkeypatch, lambda gc: gc * 2)
+    report = abl_verify((1, 0), 2, 4, seed=2)
+    assert not report["matched"] and report["convention"] == "direct"
+    assert not any(r["equal"] for r in report["points"])
+    rc = run(["abl-verify", "--n", "2", "--lambda", "1,0", "--trials", "4", "--seed", "2"])
+    assert rc == 1 and json.loads(capsys.readouterr().out) == report
 
 
 def test_abl_verify_rejects_zero_trials():
