@@ -3,7 +3,6 @@
 from .charring import (
     LaurentPoly,
     RationalPoint,
-    exact_div,
     to_json_terms,
     weyl_character,
     weyl_dimension,
@@ -38,7 +37,6 @@ __all__ = [
     "boundary_pairs",
     "dimension",
     "dyck_paths",
-    "exact_div",
     "graded_character",
     "lattice_points",
     "phi_embed",

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
+from math import prod
 
 from .rootsys import TypeC, positive_roots, root_weight, weight_of
 
@@ -122,14 +123,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "LaurentPoly":
-        if k < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        out = LaurentPoly.one(self.nvars)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def sorted_terms(self) -> list[tuple[Term, Fraction]]:
         """Terms sorted by (q, weight lexicographic)."""
         return sorted(self.terms.items())
@@ -138,13 +131,7 @@ class LaurentPoly:
         """Exact substitution at a rational point."""
         if len(pt.zs) != self.nvars:
             raise ValueError("point dimension mismatch")
-        total = Fraction(0)
-        for (q, ze), c in self.terms.items():
-            val = c * pt.q**q
-            for z, e in zip(pt.zs, ze):
-                val *= z**e
-            total += val
-        return total
+        return sum((c * evaluate_monomial(pt, ze, q) for (q, ze), c in self.terms.items()), Fraction(0))
 
     def specialize_q1(self) -> "LaurentPoly":
         """Sum coefficients over q-exponents."""
@@ -191,38 +178,31 @@ def evaluate_monomial(pt: RationalPoint, zexp: tuple[int, ...], q: int) -> Fract
     return val
 
 
-def exact_div(num: LaurentPoly, den: LaurentPoly, max_steps: int = 200_000) -> LaurentPoly:
-    """Exact quotient num/den; raises ArithmeticError when division is inexact.
+def _divide_by_binomial(num: dict[tuple[int, ...], int], alpha: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Exact quotient num / (1 - e^{-alpha}) of q-free integer Laurent polynomials.
 
-    Long division against the lexicographically leading term of the divisor.
-    In a Laurent ring every monomial is a unit, so each step cancels the
-    current leading term; for an exact quotient the loop terminates after one
-    step per quotient term.
+    alpha is lex-positive; t is its first nonzero coordinate.  The terms fall
+    on lines e + k*alpha, indexed by k = e_t // alpha_t.  On each line the
+    quotient at k is the sum of the coefficients at k and above, so it is one
+    running sum from the top of the line down.  The division is exact iff
+    every line sums to zero; otherwise this raises ArithmeticError.
     """
-    if not den:
-        raise ZeroDivisionError("division by the zero polynomial")
-    num._check(den)
-    rem = dict(num.terms)
-    quo: dict[Term, Fraction] = {}
-    dlead = max(den.terms)
-    dcoef = den.terms[dlead]
-    steps = 0
-    while rem:
-        steps += 1
-        if steps > max_steps:
-            raise ArithmeticError("inexact Laurent division (nonzero remainder)")
-        t = max(rem)
-        c = rem[t] / dcoef
-        key = (t[0] - dlead[0], tuple(a - b for a, b in zip(t[1], dlead[1])))
-        quo[key] = c
-        for (dq, dz), dc in den.terms.items():
-            kk = (key[0] + dq, tuple(a + b for a, b in zip(key[1], dz)))
-            s = rem.get(kk, Fraction(0)) - c * dc
-            if s:
-                rem[kk] = s
-            else:
-                rem.pop(kk, None)
-    return LaurentPoly(num.nvars, quo)
+    t = next(i for i, a in enumerate(alpha) if a)
+    lines: dict[tuple[int, ...], dict[int, int]] = {}
+    for e, c in num.items():
+        k = e[t] // alpha[t]
+        lines.setdefault(tuple(x - k * a for x, a in zip(e, alpha)), {})[k] = c
+    quo: dict[tuple[int, ...], int] = {}
+    for base, line in lines.items():
+        bottom = min(line)
+        total = 0
+        for k in range(max(line), bottom, -1):
+            total += line.get(k, 0)
+            if total:
+                quo[tuple(b + k * a for b, a in zip(base, alpha))] = total
+        if total + line[bottom]:
+            raise ArithmeticError(f"inexact Laurent division by 1 - e^-{alpha}")
+    return quo
 
 
 def _perm_sign(p: tuple[int, ...]) -> int:
@@ -231,21 +211,15 @@ def _perm_sign(p: tuple[int, ...]) -> int:
 
 
 def _alternant(v: tuple[int, ...], n: int) -> LaurentPoly:
-    """Signed hyperoctahedral orbit sum of z^v (v strictly dominant)."""
-    terms: dict[Term, Fraction] = {}
+    """Signed hyperoctahedral orbit sum of z^v.
+
+    v is strictly dominant, so the 2^n n! group elements give distinct exponents.
+    """
+    terms: dict[Term, int] = {}
     for p in permutations(range(n)):
-        sp = _perm_sign(p)
         for signs in product((1, -1), repeat=n):
             e = tuple(signs[k] * v[p[k]] for k in range(n))
-            s = sp
-            for x in signs:
-                s *= x
-            key = (0, e)
-            acc = terms.get(key, Fraction(0)) + s
-            if acc:
-                terms[key] = acc
-            else:
-                terms.pop(key, None)
+            terms[(0, e)] = _perm_sign(p) * prod(signs)
     return LaurentPoly(n, terms)
 
 
@@ -273,13 +247,17 @@ def weyl_character(m_vec: tuple[int, ...], n: int) -> LaurentPoly:
     """Character of the sp_2n module as a q-free Laurent polynomial.
 
     Alternating sum over the hyperoctahedral group divided exactly by the
-    Weyl denominator.
+    Weyl denominator in its factored form e^rho prod_{alpha>0} (1 - e^{-alpha}):
+    the alternant of lambda + rho is shifted by -rho, then divided by each
+    binomial in turn.
     """
     lam = weight_of(tuple(m_vec), TypeC(n))
     r = rho(n)
     top = _alternant(tuple(l + rr for l, rr in zip(lam, r)), n)
-    bot = _alternant(r, n)
-    return exact_div(top, bot)
+    quo = {tuple(e - rr for e, rr in zip(ze, r)): int(c) for (_, ze), c in top.terms.items()}
+    for root in positive_roots(TypeC(n)):
+        quo = _divide_by_binomial(quo, root_weight(root))
+    return LaurentPoly(n, {(0, e): c for e, c in quo.items()})
 
 
 def eps_to_omega(exps: tuple[int, ...]) -> tuple[int, ...]:

@@ -227,9 +227,21 @@ def _json_list(value, what: str) -> list:
     return value
 
 
+def _json_int(value, what: str) -> int:
+    # bool is an int subclass; a float such as 2.7 would be truncated by int().
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
+def _json_rational(value) -> Fraction:
+    # A JSON float such as 0.1 has already lost its exact value.
+    return Fraction(value if isinstance(value, str) else _json_int(value, "a non-string row entry"))
+
+
 def _matrix_from_json(rows, two_n: int) -> geometry.Subspace:
     vecs = [
-        [Fraction(x) for x in _json_list(row, "a row")]
+        [_json_rational(x) for x in _json_list(row, "a row")]
         for row in _json_list(rows, "a space")
     ]
     for v in vecs:
@@ -246,8 +258,8 @@ def _load_flag(path: str) -> tuple[geometry.FlagPoint, int]:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        n = int(doc["n"])
-        d = tuple(int(x) for x in _json_list(doc["d"], "d"))
+        n = _json_int(doc["n"], "n")
+        d = tuple(_json_int(x, "an entry of d") for x in _json_list(doc["d"], "d"))
         spaces = tuple(
             _matrix_from_json(m, 2 * n) for m in _json_list(doc["spaces"], "spaces")
         )

@@ -69,12 +69,15 @@ def mat_transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
 
 
+def pivot_columns(red: Matrix) -> tuple[int, ...]:
+    """Column of the leading entry of each row of a matrix in RREF."""
+    return tuple(next(c for c, x in enumerate(row) if x != 0) for row in red)
+
+
 def nullspace(rows, ncols: int) -> list[Vector]:
     """Basis of the right kernel of the matrix, deterministic order."""
     red = rref(rows)
-    pivots = []
-    for row in red:
-        pivots.append(next(c for c in range(ncols) if row[c] != 0))
+    pivots = pivot_columns(red)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
@@ -93,10 +96,11 @@ def nullspace(rows, ncols: int) -> list[Vector]:
 class Subspace:
     """Row space of an exact rational matrix, canonicalized by RREF."""
 
-    __slots__ = ("rows", "ambient")
+    __slots__ = ("rows", "pivots", "ambient")
 
     def __init__(self, rows: Matrix, ambient: int):
         self.rows = rows
+        self.pivots = pivot_columns(rows)
         self.ambient = ambient
 
     @classmethod
@@ -141,8 +145,7 @@ class Subspace:
     def reduce_vector(self, v) -> Vector:
         """Residual of v after elimination against the RREF rows."""
         v = list(map(Q, v))
-        for row in self.rows:
-            p = next(c for c in range(self.ambient) if row[c] != 0)
+        for row, p in zip(self.rows, self.pivots):
             if v[p] != 0:
                 f = v[p]
                 v = [a - f * b for a, b in zip(v, row)]

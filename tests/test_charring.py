@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 from spflag.charring import (
     LaurentPoly,
     RationalPoint,
+    _alternant,
+    _divide_by_binomial,
     eps_to_omega,
-    exact_div,
+    rho,
     to_json_terms,
     weyl_character,
     weyl_dimension,
 )
+from spflag.rootsys import TypeC, positive_roots, root_weight, weight_of
 
 
 def poly_strategy(nvars=2):
@@ -38,19 +41,60 @@ def test_ring_axioms(a, b, c):
     assert a - a == LaurentPoly.zero(2)
 
 
-@given(poly_strategy(), poly_strategy())
-@settings(max_examples=30, deadline=None)
-def test_exact_div_roundtrip(a, b):
-    if not b:
-        return
-    assert exact_div(a * b, b) == a
+def _binomial(alpha):
+    """1 - e^{-alpha} as a LaurentPoly."""
+    n = len(alpha)
+    return LaurentPoly.one(n) - LaurentPoly.monomial(n, 1, tuple(-a for a in alpha))
 
 
-def test_exact_div_inexact_raises():
-    one = LaurentPoly.one(1)
-    z = LaurentPoly.monomial(1, 1, (1,))
+def _from_ints(terms, n):
+    return LaurentPoly(n, {(0, e): c for e, c in terms.items()})
+
+
+def _int_poly_strategy(nvars):
+    exps = st.tuples(*[st.integers(-3, 3)] * nvars)
+    coeffs = st.integers(-5, 5).filter(bool)
+    return st.dictionaries(exps, coeffs, max_size=6)
+
+
+@pytest.mark.parametrize(
+    "n,alpha",
+    [(n, root_weight(r)) for n in (2, 3) for r in positive_roots(TypeC(n))],
+)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_divide_by_binomial_roundtrip(n, alpha, data):
+    a = data.draw(_int_poly_strategy(n))
+    num = _from_ints(a, n) * _binomial(alpha)
+    assert _divide_by_binomial({e: int(c) for (_, e), c in num.terms.items()}, alpha) == a
+
+
+def test_divide_by_binomial_inexact_raises():
+    # 1 + z_1 by 1 - z_1^{-2}: each term lies alone on its line.
     with pytest.raises(ArithmeticError):
-        exact_div(one + z, one + z + z * z, max_steps=500)
+        _divide_by_binomial({(0,): 1, (1,): 1}, (2,))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_weyl_denominator_identity(n):
+    den = LaurentPoly.monomial(n, 1, rho(n))
+    for r in positive_roots(TypeC(n)):
+        den = den * _binomial(root_weight(r))
+    assert den == _alternant(rho(n), n)
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [
+        (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0),
+        (1, 0, 1), (0, 1, 1), (1, 1, 1), (2, 1, 0),
+        (0, 1, 0, 1),
+    ],
+)
+def test_weyl_character_times_denominator_is_numerator(lam):
+    n = len(lam)
+    top = tuple(l + r for l, r in zip(weight_of(lam, TypeC(n)), rho(n)))
+    assert weyl_character(lam, n) * _alternant(rho(n), n) == _alternant(top, n)
 
 
 def test_evaluate():

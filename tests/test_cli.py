@@ -157,7 +157,16 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
     # Strings where arrays belong would be read character by character.
     row_as_text = {"n": 1, "d": [1], "spaces": [["12"]]}
     d_as_text = {"n": 2, "d": "12", "spaces": [[["1", "0", "0", "0"]], [["0", "1", "0", "0"]]]}
-    texts = [json.dumps(doc) for doc in (zero_denominator, wrong_dim, row_as_text, d_as_text)]
+    # Floats would be truncated (n = 2, d = (1, 2)) or read as binary fractions.
+    float_n_d = {
+        "n": 2.7,
+        "d": [1.9, 2],
+        "spaces": [[["1", "0", "0", "0"]], [["1", "0", "0", "0"], ["0", "1", "0", "0"]]],
+    }
+    float_entry = {"n": 1, "d": [1], "spaces": [[[0.1, "1"]]]}
+    bool_entry = {"n": 1, "d": [True], "spaces": [[[True, "1"]]]}
+    docs = (zero_denominator, wrong_dim, row_as_text, d_as_text, float_n_d, float_entry, bool_entry)
+    texts = [json.dumps(doc) for doc in docs]
     texts.append("[" * 100_000)  # nested deeper than the parser's recursion limit
     for k, text in enumerate(texts):
         path = tmp_path / f"bad{k}.json"

@@ -1,4 +1,4 @@
-"""Golden stdout digests of the CLI at n <= 3.
+"""Golden stdout digests of the CLI at n <= 3, and of `weyl` at n = 4.
 
 Each digest is the sha256 of the exact bytes a command writes to stdout.  The
 contract in docs/formats.md promises byte-identical output across refactors
@@ -60,6 +60,12 @@ GOLDEN = {
         "0d91c455b7f6f2f5aad9ed9e85e50c2d90c2f84159bdb62fb0f686f0d97bf709",
     "weyl --n 2 --lambda 2,1 --weight-basis omega":
         "47eed2426ebc0c44b9106b4bf36287c4dc67b1d4312d5f015caaf2c4a734bac6",
+    "weyl --n 4 --lambda 0,1,0,1":
+        "f2b20f01c35d131d3e577c190d5bb12ceddf93c665154eb5d079b0e519da6cf9",
+    "weyl --n 4 --lambda 1,1,1,1":
+        "84e943c076ebffac8fae760d183455c62e0d39f939032c7597ee3f0efa251a3b",
+    "weyl --n 4 --lambda 0,0,1,1 --weight-basis omega":
+        "4f42867e3e40d919dbe115e6e86f71acc133dd5e76a28969dccf39300697f4e3",
     "polytope --n 3 --lambda 1,0,1":
         "e30b56ed25ac480a082da4c4d196b2e4e6316c13e620a0cf14c1b61418a51887",
     "polytope --n 3 --lambda 1,1 --system A":
