@@ -12,6 +12,7 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -20,6 +21,8 @@ from .rootsys import TypeA, TypeC, check_d
 
 ENUM_LIMIT = 4
 ABL_LIMIT = 4
+# Row entries of a flag-point file: an optionally signed integer, or p/q.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class UsageError(Exception):
@@ -236,7 +239,12 @@ def _json_int(value, what: str) -> int:
 
 def _json_rational(value) -> Fraction:
     # A JSON float such as 0.1 has already lost its exact value.
-    return Fraction(value if isinstance(value, str) else _json_int(value, "a non-string row entry"))
+    if not isinstance(value, str):
+        return Fraction(_json_int(value, "a non-string row entry"))
+    # Fraction alone would also read "0.5" and "1e5000", which has 5001 digits.
+    if not _RATIONAL.fullmatch(value):
+        raise ValueError(f"row entry {json.dumps(value)} is not an integer or p/q")
+    return Fraction(value)
 
 
 def _matrix_from_json(rows, two_n: int) -> geometry.Subspace:
@@ -406,7 +414,16 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # The reader closed stdout: a usage error, like an unwritable --output.
+        # Pointing stdout at devnull keeps the interpreter's last flush quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -74,8 +74,15 @@ def pivot_columns(red: Matrix) -> tuple[int, ...]:
     return tuple(next(c for c, x in enumerate(row) if x != 0) for row in red)
 
 
+def _unit_vectors(indices, ambient: int) -> list[Vector]:
+    """w_l for l in indices (1-indexed); read as forms, the coordinates w_l^*."""
+    return [tuple(Q(int(c == l - 1)) for c in range(ambient)) for l in indices]
+
+
 def nullspace(rows, ncols: int) -> list[Vector]:
-    """Basis of the right kernel of the matrix, deterministic order."""
+    """Basis of the right kernel of the matrix, deterministic order.
+
+    No rows give the unit basis of Q^ncols."""
     red = rref(rows)
     pivots = pivot_columns(red)
     free = [c for c in range(ncols) if c not in pivots]
@@ -112,18 +119,18 @@ class Subspace:
         return cls(rref(vectors), ambient)
 
     @classmethod
+    def kernel(cls, forms, ambient: int) -> "Subspace":
+        """The vectors on which every linear form in `forms` vanishes."""
+        return cls(rref(nullspace(forms, ambient)), ambient)
+
+    @classmethod
     def zero(cls, ambient: int) -> "Subspace":
         return cls((), ambient)
 
     @classmethod
     def coordinate(cls, indices, ambient: int) -> "Subspace":
         """Span of the basis vectors w_l for l in indices (1-indexed)."""
-        vecs = []
-        for l in sorted(indices):
-            v = [Q(0)] * ambient
-            v[l - 1] = Q(1)
-            vecs.append(v)
-        return cls.span(vecs, ambient)
+        return cls.span(_unit_vectors(sorted(indices), ambient), ambient)
 
     @property
     def dim(self) -> int:
@@ -160,20 +167,12 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         return Subspace(rref(list(self.rows) + list(other.rows)), self.ambient)
 
+    def annihilator(self) -> list[Vector]:
+        """A basis of the linear forms that vanish on the subspace."""
+        return nullspace(self.rows, self.ambient)
+
     def intersection(self, other: "Subspace") -> "Subspace":
-        """Kernel construction: c with c[:r]*self - c[r:]*other = 0."""
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient)
-        stacked = list(self.rows) + list(other.rows)
-        vecs = []
-        for c in nullspace(mat_transpose(tuple(stacked)), len(stacked)):
-            v = [Q(0)] * self.ambient
-            for coef, row in zip(c[: self.dim], self.rows):
-                if coef:
-                    v = [a + coef * b for a, b in zip(v, row)]
-            if any(x != 0 for x in v):
-                vecs.append(tuple(v))
-        return Subspace.span(vecs, self.ambient)
+        return Subspace.kernel(self.annihilator() + other.annihilator(), self.ambient)
 
 
 def _zeroed(v, kill: set[int]) -> Vector:
@@ -184,13 +183,6 @@ def project_away(u: Subspace, coords) -> Subspace:
     """Image under the projection that zeroes the given 1-indexed coordinates."""
     kill = set(coords)
     return Subspace.span([_zeroed(row, kill) for row in u.rows], u.ambient)
-
-
-def w_space(i: int, j: int, n: int) -> Subspace:
-    """W_{i,j} = span(w_1..w_i, w_{j+1}..w_2n)."""
-    return Subspace.coordinate(
-        list(range(1, i + 1)) + list(range(j + 1, 2 * n + 1)), 2 * n
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +216,10 @@ def is_isotropic(u: Subspace, n: int, j_mat=None) -> bool:
 
 
 def perp(u: Subspace, n: int, j_mat=None) -> Subspace:
-    """J-orthogonal complement, of dimension 2n - dim u."""
+    """J-orthogonal complement, of dimension 2n - dim u: the kernel of the
+    forms row·J."""
     j_mat = j_mat if j_mat is not None else symplectic_form(n)
-    if u.dim == 0:
-        return Subspace(rref([[Q(1) if c == r else Q(0) for c in range(2 * n)] for r in range(2 * n)]), 2 * n)
-    constraints = mat_mul(tuple(tuple(map(Q, row)) for row in u.rows), tuple(tuple(map(Q, r)) for r in j_mat))
-    return Subspace.span(nullspace(constraints, 2 * n), 2 * n)
+    return Subspace.kernel(mat_mul(u.rows, j_mat), 2 * n)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +278,8 @@ def in_resolution(p: ResolutionPoint, d: tuple[int, ...], n: int) -> bool:
     if set(p.spaces) != set(pairs):
         raise ValueError("resolution point shape does not match P_d")
     for (i, j), v in p.spaces.items():
-        if v.dim != i or not w_space(i, j, n).contains(v):
+        # V_{i,j} lies in W_{i,j} = span(w_1..w_i, w_{j+1}..w_2n).
+        if v.dim != i or any(x != 0 for row in v.rows for x in row[i:j]):
             return False
     for i, j in pairs:
         v = p.spaces[(i, j)]
@@ -337,41 +328,21 @@ def in_open_cell(p: ResolutionPoint) -> bool:
 # lift
 
 
-def _transport_isotropic_constraint(
-    upper: Subspace, current: Subspace, i: int, j: int, n: int
-) -> Subspace:
-    """Vectors x in `upper` whose projection pairs to zero with that of `current`.
-
-    The projection zeroes coordinates j+1..2n-i; keeping it isotropic while
-    growing `current` is the side condition the column induction maintains.
-    """
-    if current.dim == 0:
-        return upper
-    middle = set(range(j + 1, 2 * n - i + 1))
-    pu = [_zeroed(row, middle) for row in upper.rows]
-    pc = [_zeroed(row, middle) for row in current.rows]
-    j_mat = symplectic_form(n)
-    cmatrix = [[form_value(a, b, j_mat) for b in pc] for a in pu]
-    sol = nullspace(mat_transpose(tuple(map(tuple, cmatrix))), len(pu))
-    vecs = []
-    for c in sol:
-        v = [Q(0)] * (2 * n)
-        for coef, row in zip(c, upper.rows):
-            if coef:
-                v = [a + coef * b for a, b in zip(v, row)]
-        vecs.append(tuple(v))
-    return Subspace.span(vecs, 2 * n)
-
-
 def _extend_choice(
-    lower: Subspace, upper: Subspace, i: int, j: int, n: int
+    lower: Subspace, upper_forms: list[Vector], i: int, j: int, n: int
 ) -> Subspace:
-    """Grow `lower` to dimension i inside `upper`, keeping the transported
-    projection isotropic; among valid one-vector extensions the candidate with
+    """Grow `lower` to dimension i inside the kernel of `upper_forms`, keeping
+    its image under the projection P that zeroes coordinates j+1..2n-i
+    isotropic; among valid one-vector extensions the candidate with
     lexicographically minimal RREF is taken, for determinism."""
+    middle = set(range(j + 1, 2 * n - i + 1))
+    j_mat = symplectic_form(n)
     current = lower
     while current.dim < i:
-        feasible = _transport_isotropic_constraint(upper, current, i, j, n)
+        # Px pairs to zero with Pc iff the form (Pc)·J·P vanishes on x.
+        projected = tuple(_zeroed(c, middle) for c in current.rows)
+        pairing = [_zeroed(f, middle) for f in mat_mul(projected, j_mat)]
+        feasible = Subspace.kernel(upper_forms + pairing, 2 * n)
         candidates = []
         for x in feasible.rows:
             if not current.contains_vector(x):
@@ -406,9 +377,11 @@ def lift(flag: FlagPoint, n: int) -> ResolutionPoint:
             lower = Subspace.zero(2 * n)
             if (i, j - 1) in pairs:
                 lower = project_away(spaces[(i, j - 1)], [j])
-            upper = w_space(i, j, n)
+            # W_{i,j} is cut out by the coordinate forms w_{i+1}^*..w_j^*.
+            upper_forms = _unit_vectors(range(i + 1, j + 1), 2 * n)
             if (i + 1, j) in pairs:
-                upper = upper.intersection(spaces[(i + 1, j)])
+                upper_forms += spaces[(i + 1, j)].annihilator()
+            upper = Subspace.kernel(upper_forms, 2 * n)
             if i == j and i in anchors:
                 v = anchors[i]
             elif lower.dim == i:
@@ -416,7 +389,7 @@ def lift(flag: FlagPoint, n: int) -> ResolutionPoint:
             else:
                 if not upper.contains(lower):
                     raise LiftError(f"incompatible constraints at ({i},{j})")
-                v = _extend_choice(lower, upper, i, j, n)
+                v = _extend_choice(lower, upper_forms, i, j, n)
             ok = (
                 v.dim == i
                 and upper.contains(v)

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import spflag
 from spflag.cli import run
 
 
@@ -165,7 +169,10 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
     }
     float_entry = {"n": 1, "d": [1], "spaces": [[[0.1, "1"]]]}
     bool_entry = {"n": 1, "d": [True], "spaces": [[[True, "1"]]]}
-    docs = (zero_denominator, wrong_dim, row_as_text, d_as_text, float_n_d, float_entry, bool_entry)
+    # Exponent notation would build a 5001-digit entry, or run for minutes.
+    exponent_entries = [{"n": 1, "d": [1], "spaces": [[[e, "1"]]]} for e in ("1e5000", "1e30000000")]
+    docs = (zero_denominator, wrong_dim, row_as_text, d_as_text, float_n_d, float_entry, bool_entry,
+            *exponent_entries)
     texts = [json.dumps(doc) for doc in docs]
     texts.append("[" * 100_000)  # nested deeper than the parser's recursion limit
     for k, text in enumerate(texts):
@@ -173,6 +180,24 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
         path.write_text(text)
         fails(["lift", "--input", str(path)])
         fails(["check-geometry", "--input", str(path)])
+
+
+def test_closed_stdout_is_a_usage_error():
+    # fixed-points --n 3 prints 191 kB, more than a pipe holds, so the command
+    # is still writing when the reader closes the pipe after one line.
+    src = os.path.dirname(os.path.dirname(spflag.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spflag.cli", "fixed-points", "--n", "3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    lines = err.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write stdout"), err
 
 
 def test_force_overrides_soft_limit(capture):

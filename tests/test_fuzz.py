@@ -40,7 +40,7 @@ option = st.one_of(
 )
 
 entry = st.one_of(
-    st.sampled_from(["0", "1", "-1", "1/2", "1/0", "x", "12", "", "nan"]),
+    st.sampled_from(["0", "1", "-1", "1/2", "1/0", "x", "12", "", "nan", "1e5000"]),
     st.integers(-2, 2), st.none(), st.booleans(), st.just([]),
 )
 row = st.one_of(st.lists(entry, max_size=5), entry)

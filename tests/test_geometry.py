@@ -60,6 +60,21 @@ def test_sum_intersection():
     assert u.sum(v) == w(4, 1, 2, 3)
     assert u.intersection(v) == w(4, 2)
     assert u.intersection(w(4, 3, 4)).dim == 0
+    rng = random.Random(4)
+    for ambient in (4, 6):
+        zero, whole = Subspace.zero(ambient), w(ambient, *range(1, ambient + 1))
+        spaces = [zero, whole] + [
+            random_subspace(ambient, rng.randint(0, ambient), rng) for _ in range(8)
+        ]
+        # Random spaces meet generically; a sum meets its summands in them.
+        spaces.append(spaces[2].sum(spaces[3]))
+        for a in spaces:
+            for b in spaces:
+                meet = a.intersection(b)
+                assert a.contains(meet) and b.contains(meet)
+                assert meet.dim == a.dim + b.dim - a.sum(b).dim
+                assert meet == b.intersection(a)
+        assert zero.intersection(whole) == zero and whole.intersection(whole) == whole
 
 
 def test_projection():
@@ -95,6 +110,10 @@ def test_isotropy_basics():
 
 
 def test_perp_involution_random():
+    for n in (1, 2, 3):
+        whole = w(2 * n, *range(1, 2 * n + 1))
+        assert perp(Subspace.zero(2 * n), n) == whole
+        assert perp(whole, n) == Subspace.zero(2 * n)
     rng = random.Random(3)
     for _ in range(50):
         n = rng.randint(1, 3)

@@ -1,8 +1,9 @@
-"""Golden stdout digests of the CLI at n <= 3, and of `weyl` at n = 4.
+"""Golden stdout digests of the CLI at n <= 3, and of `weyl` and `lift` at n = 4.
 
-Each digest is the sha256 of the exact bytes a command writes to stdout.  The
-contract in docs/formats.md promises byte-identical output across refactors
-and for every --threads value, so a changed digest is a changed contract.
+Each entry is the exit status and the sha256 of the exact bytes a command
+writes to stdout.  The contract in docs/formats.md promises byte-identical
+output across refactors and for every --threads value, so a changed digest is
+a changed contract.
 """
 
 import hashlib
@@ -11,6 +12,27 @@ import json
 import pytest
 
 from spflag.cli import run
+
+# An open-cell point of SpF_(1,2,3,4) at n = 4 (random_sp_flag, seed 4):
+# OPEN4[k] is a basis of V_{k+1}.
+OPEN4 = [
+    [["1", "-7/5", "-4/3", "-1/2", "-4", "-7", "-3/2", "-2/3"]],
+    [
+        ["1", "0", "-4/3", "-1/2", "-4", "-7", "-3/2", "-2/3"],
+        ["0", "1", "0", "-3", "7/5", "-9/4", "3", "-3/2"],
+    ],
+    [
+        ["1", "0", "0", "-1/2", "-4", "-7", "-3/2", "-2/3"],
+        ["0", "1", "0", "-3", "7/5", "-9/4", "3", "-3/2"],
+        ["0", "0", "1", "-1/2", "2/3", "8/3", "-9/4", "-7"],
+    ],
+    [
+        ["1", "0", "0", "0", "-4", "-7", "-3/2", "-2/3"],
+        ["0", "1", "0", "0", "7/5", "-9/4", "3", "-3/2"],
+        ["0", "0", "1", "0", "2/3", "8/3", "-9/4", "-7"],
+        ["0", "0", "0", "1", "-4", "2/3", "7/5", "-4"],
+    ],
+]
 
 FLAGS = {
     "flag_123": {
@@ -47,57 +69,74 @@ FLAGS = {
             [["1", "0", "5/3", "-3/2", "5/4", "1"], ["0", "1", "-5", "7/4", "7/5", "5/4"]],
         ],
     },
+    "flag4_1234": {"n": 4, "d": [1, 2, 3, 4], "spaces": OPEN4},
+    "flag4_24": {"n": 4, "d": [2, 4], "spaces": [OPEN4[1], OPEN4[3]]},
+    # One entry of V_2 changed: not a member, and lift fails at (2,4) after
+    # choosing the free components (1,2) and (3,4).
+    "flag4_24_bad": {
+        "n": 4,
+        "d": [2, 4],
+        "spaces": [[["1", "0", "-4/3", "-1/2", "1", "-7", "-3/2", "-2/3"], OPEN4[1][1]], OPEN4[3]],
+    },
 }
 
 GOLDEN = {
     "qchar --n 3 --lambda 1,0,1":
-        "d6bf94f4c0a5feb4058ab3207caf30ba3e8c327a619a65ce5bf2ac20243f754b",
+        (0, "d6bf94f4c0a5feb4058ab3207caf30ba3e8c327a619a65ce5bf2ac20243f754b"),
     "qchar --n 3 --lambda 0,1,1 --weight-basis omega":
-        "9aa886f2eeea74ce4a8fb5c0d9a34fb598c76b8f2502cfd906fd3e8c3b60204f",
+        (0, "9aa886f2eeea74ce4a8fb5c0d9a34fb598c76b8f2502cfd906fd3e8c3b60204f"),
     "qchar --n 3 --lambda 1,1 --system A --weight-basis omega":
-        "b148fb2b08a75809c01cb1922850933bb999f37152924d64f6cf903866a17a58",
+        (0, "b148fb2b08a75809c01cb1922850933bb999f37152924d64f6cf903866a17a58"),
     "weyl --n 3 --lambda 0,1,0":
-        "0d91c455b7f6f2f5aad9ed9e85e50c2d90c2f84159bdb62fb0f686f0d97bf709",
+        (0, "0d91c455b7f6f2f5aad9ed9e85e50c2d90c2f84159bdb62fb0f686f0d97bf709"),
     "weyl --n 2 --lambda 2,1 --weight-basis omega":
-        "47eed2426ebc0c44b9106b4bf36287c4dc67b1d4312d5f015caaf2c4a734bac6",
+        (0, "47eed2426ebc0c44b9106b4bf36287c4dc67b1d4312d5f015caaf2c4a734bac6"),
     "weyl --n 4 --lambda 0,1,0,1":
-        "f2b20f01c35d131d3e577c190d5bb12ceddf93c665154eb5d079b0e519da6cf9",
+        (0, "f2b20f01c35d131d3e577c190d5bb12ceddf93c665154eb5d079b0e519da6cf9"),
     "weyl --n 4 --lambda 1,1,1,1":
-        "84e943c076ebffac8fae760d183455c62e0d39f939032c7597ee3f0efa251a3b",
+        (0, "84e943c076ebffac8fae760d183455c62e0d39f939032c7597ee3f0efa251a3b"),
     "weyl --n 4 --lambda 0,0,1,1 --weight-basis omega":
-        "4f42867e3e40d919dbe115e6e86f71acc133dd5e76a28969dccf39300697f4e3",
+        (0, "4f42867e3e40d919dbe115e6e86f71acc133dd5e76a28969dccf39300697f4e3"),
     "polytope --n 3 --lambda 1,0,1":
-        "e30b56ed25ac480a082da4c4d196b2e4e6316c13e620a0cf14c1b61418a51887",
+        (0, "e30b56ed25ac480a082da4c4d196b2e4e6316c13e620a0cf14c1b61418a51887"),
     "polytope --n 3 --lambda 1,1 --system A":
-        "a803cfedbf9d30f352c94e81b429e6a642bc0753600920ae7bf6f8897df3c6b4",
+        (0, "a803cfedbf9d30f352c94e81b429e6a642bc0753600920ae7bf6f8897df3c6b4"),
     "fixed-points --n 3":
-        "d21b7f85caafa9f28e4d390b428aa6b408c3fecc3fdfdacc289bd279b11102b8",
+        (0, "d21b7f85caafa9f28e4d390b428aa6b408c3fecc3fdfdacc289bd279b11102b8"),
     "fixed-points --n 3 --count":
-        "240269e94afb4bbc4c643851e366bf4f0d870ff0753d250b854f748cf3516285",
+        (0, "240269e94afb4bbc4c643851e366bf4f0d870ff0753d250b854f748cf3516285"),
     "fixed-points --n 3 --threads 4":
-        "d21b7f85caafa9f28e4d390b428aa6b408c3fecc3fdfdacc289bd279b11102b8",
+        (0, "d21b7f85caafa9f28e4d390b428aa6b408c3fecc3fdfdacc289bd279b11102b8"),
     "discrepancy --n 3 --d 1,3":
-        "143ab449ea27abf8659a10f321043168bf568fe64483c037a4e3f8fd38a44b51",
+        (0, "143ab449ea27abf8659a10f321043168bf568fe64483c037a4e3f8fd38a44b51"),
     "discrepancy --n 3 --d 1,3 --format csv":
-        "edf3ecfddc3baa7a670b936f3bec53cf0e2265886dced65a99329198ecaf1f55",
+        (0, "edf3ecfddc3baa7a670b936f3bec53cf0e2265886dced65a99329198ecaf1f55"),
     "discrepancy --n 3 --d 1,2,3 --format csv":
-        "0f1db071ad98249fbe2861c9cb28986075cb79587a0283ffd2909e8a7a593236",
+        (0, "0f1db071ad98249fbe2861c9cb28986075cb79587a0283ffd2909e8a7a593236"),
     "lift --input {flag_123}":
-        "e21938831d62be354e964d4e655022bd49760d9a98e62a291c018a90f8942ac0",
+        (0, "e21938831d62be354e964d4e655022bd49760d9a98e62a291c018a90f8942ac0"),
     "lift --input {flag_13}":
-        "0b9900001b7789088092839bdbedcfbf68cbf429e1ce15b959d8db250e6d8c93",
+        (0, "0b9900001b7789088092839bdbedcfbf68cbf429e1ce15b959d8db250e6d8c93"),
     "lift --input {flag_2}":
-        "ebcfad957dd10c1be230278508c2075bce0b9dd7b7f01a79fd4bdc67bbfc14d5",
+        (0, "ebcfad957dd10c1be230278508c2075bce0b9dd7b7f01a79fd4bdc67bbfc14d5"),
+    "lift --input {flag4_1234}":
+        (0, "d613546c844a1e4cae74909a8c4a27e327db956ee294ecb9184f2dc768ca18ec"),
+    "lift --input {flag4_24}":
+        (0, "9843a199db8c6f66eb34c4f907d519c8005733d962d690e75d4de0caa719c74b"),
+    "lift --input {flag4_24_bad}":
+        (1, "e7e4fcfe04b5bdeb6283235fabb54cba175fcaf99f87732e47291f51ed3189c8"),
+    "check-geometry --input {flag4_24_bad}":
+        (1, "cbc324be47eb08fbf5b2aab16c2ba576c44c123e5bac5ecb4f66a1652044b4d7"),
     "check-geometry --input {flag_13}":
-        "07f9693de52a46481cf6c029ef7fcea08100a336af6336e3ed352d0a11d88813",
+        (0, "07f9693de52a46481cf6c029ef7fcea08100a336af6336e3ed352d0a11d88813"),
     "abl-verify --n 2 --lambda 1,1 --trials 5 --seed 7 --threads 1":
-        "19e560653cc048a95093055f755fe26330f01f2f04f5f75c8f559ed978182c18",
+        (0, "19e560653cc048a95093055f755fe26330f01f2f04f5f75c8f559ed978182c18"),
     "abl-verify --n 2 --lambda 1,1 --trials 5 --seed 7 --threads 2":
-        "19e560653cc048a95093055f755fe26330f01f2f04f5f75c8f559ed978182c18",
+        (0, "19e560653cc048a95093055f755fe26330f01f2f04f5f75c8f559ed978182c18"),
     "abl-verify --n 3 --lambda 1,0,1 --trials 2 --seed 3 --threads 1":
-        "5e35b32fd11224e20430eac2b324dc92979ae5578a05cb22af77a8ec18f71300",
+        (0, "5e35b32fd11224e20430eac2b324dc92979ae5578a05cb22af77a8ec18f71300"),
     "abl-verify --n 3 --lambda 1,0,1 --trials 2 --seed 3 --threads 2":
-        "5e35b32fd11224e20430eac2b324dc92979ae5578a05cb22af77a8ec18f71300",
+        (0, "5e35b32fd11224e20430eac2b324dc92979ae5578a05cb22af77a8ec18f71300"),
 }
 
 
@@ -112,5 +151,4 @@ def test_stdout_digest(command, tmp_path, capsys):
         argv.append(word)
     rc = run(argv)
     out = capsys.readouterr().out
-    assert rc == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
+    assert (rc, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[command]
