@@ -179,10 +179,11 @@ def evaluate_monomial(pt: RationalPoint, zexp: tuple[int, ...], q: int) -> Fract
 
 
 def _divide_by_binomial(num: dict[tuple[int, ...], int], alpha: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """Exact quotient num / (1 - e^{-alpha}) of q-free integer Laurent polynomials.
+    """Exact quotient num / (1 - e^{-alpha}) of integer Laurent polynomials.
 
-    alpha is lex-positive; t is its first nonzero coordinate.  The terms fall
-    on lines e + k*alpha, indexed by k = e_t // alpha_t.  On each line the
+    Exponents are tuples of any length, such as (q, z_1..z_n), and alpha is any
+    nonzero one, of either sign; t is its first nonzero coordinate.  The terms
+    fall on lines e + k*alpha, indexed by k = e_t // alpha_t.  On each line the
     quotient at k is the sum of the coefficients at k and above, so it is one
     running sum from the top of the line down.  The division is exact iff
     every line sums to zero; otherwise this raises ArithmeticError.

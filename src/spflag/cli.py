@@ -307,15 +307,12 @@ def cmd_lift(args) -> int:
     except geometry.LiftError as exc:
         _emit({"command": "lift", "error": str(exc)}, args.output)
         return 1
-    doc = {
-        "command": "lift",
-        "n": n,
-        "d": list(flag.d),
-        "spaces": {
-            f"{i},{j}": _matrix_to_json(v) for (i, j), v in sorted(point.spaces.items())
-        },
-    }
-    _emit(doc, args.output)
+    try:
+        spaces = {f"{i},{j}": _matrix_to_json(v) for (i, j), v in sorted(point.spaces.items())}
+    except ValueError as exc:
+        # A lifted entry can outgrow the interpreter's 4300-digit limit on str().
+        raise UsageError(f"cannot write the lift of {args.input}: {exc}")
+    _emit({"command": "lift", "n": n, "d": list(flag.d), "spaces": spaces}, args.output)
     return 0
 
 

@@ -10,20 +10,22 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 
-from .charring import LaurentPoly, RationalPoint, evaluate_monomial
+from .charring import LaurentPoly, RationalPoint, _divide_by_binomial, evaluate_monomial
 from .geometry import ResolutionPoint, Subspace
 from .polytope import graded_character
 from .rootsys import TypeC, index_pairs
 
 Pair = tuple[int, int]
 Collection = dict[Pair, frozenset[int]]
+State = tuple[frozenset[int], ...]  # the live components before a tower step
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17)
 
 
 class DenominatorZeroError(ArithmeticError):
-    """A localization denominator vanished; resample the evaluation point."""
+    """Sampling found too few points at which no localization denominator vanishes."""
 
 
 def _ambient(i: int, j: int, n: int) -> frozenset[int]:
@@ -149,55 +151,74 @@ def _delta(a: int, b: int, i: int, n: int) -> tuple[tuple[int, ...], int]:
     return tuple(y - x for x, y in zip(wa, wb)), (b > i) - (a > i)
 
 
-def abl_evaluate(
-    m_vec: tuple[int, ...],
-    pt: RationalPoint,
-    n: int,
-    inverted: bool = False,
-) -> Fraction:
-    """Exact value of the localization sum at a rational point.
+@cache
+def _tower(n: int) -> tuple[tuple, frozenset]:
+    """Forward pass over the tower in `index_pairs` order.
 
-    The sum runs over the tower in `index_pairs` order.  The two branches at
-    (i,j) divide by 1 - e^Delta(a,b), and at a diagonal (i,i) the branch also
-    multiplies by e^{m_i wtq(S_ii)}; each factor reads only S_{i-1,j} and
-    S_{i,j+1}, so partial sums are merged on the components a later step
-    still reads.  Every edge of the tower is evaluated whatever m_vec is, so
-    DenominatorZeroError is raised exactly when some factor 1 - e^Delta of
-    some collection vanishes at the point; callers resample.  With
-    inverted=True the whole sum is read in the variables z -> 1/z, q -> 1/q.
+    A state before a step holds the live components, those a later step still
+    reads through `_pool`.  Per step (i,j), lists one edge per distinct state:
+    the state, its branch (S_{i,j}, state after) for a and for b, and
+    Delta(a,b).  Also returns the set of these edge weights.
     """
-    if len(pt.zs) != n:
-        raise ValueError("point dimension mismatch")
-    if inverted:
-        pt = pt.inverted()
     order = index_pairs(TypeC(n))
     last_read: dict[Pair, int] = {}
     for pos, (i, j) in enumerate(order):
         last_read[(i - 1, j)] = pos
         if i + j < 2 * n:
             last_read[(i, j + 1)] = pos
-    # states: the live components before a step -> sum of the partial products
-    states: dict[tuple[frozenset[int], ...], Fraction] = {(): Fraction(1)}
+    steps = []
+    keys: dict[State, None] = {(): None}
     live: list[Pair] = []
     for pos, (i, j) in enumerate(order):
         after = [p for p in live + [(i, j)] if last_read.get(p, -1) > pos]
-        merged: dict[tuple[frozenset[int], ...], Fraction] = {}
-        for key, value in states.items():
+        edges = []
+        for key in keys:
             coll = dict(zip(live, key))
             prev = coll.get((i - 1, j), frozenset())
-            pool = _pool(coll, i, j, n)
-            for a, b in (pool, pool[::-1]):
-                factor = 1 - evaluate_monomial(pt, *_delta(a, b, i, n))
-                if factor == 0:
-                    raise DenominatorZeroError(f"denominator vanished at {pt}")
-                here = coll[(i, j)] = prev | {a}
-                term = value / factor
+            a, b = _pool(coll, i, j, n)
+            branches = []
+            for x in (a, b):
+                here = coll[(i, j)] = prev | {x}
+                branches.append((here, tuple(coll[p] for p in after)))
+            edges.append((key, tuple(branches), _delta(a, b, i, n)))
+        steps.append((i, j, tuple(edges)))
+        keys, live = dict.fromkeys(s for _, branches, _ in edges for _, s in branches), after
+    return tuple(steps), frozenset(delta for *_, edges in steps for *_, delta in edges)
+
+
+def abl_character(m_vec: tuple[int, ...], n: int) -> LaurentPoly:
+    """The localization sum as an exact Laurent polynomial in q, z_1..z_n.
+
+    Pushes forward down the tower of `_tower`, last step first.  At a step
+    with branches a, b and Delta = Delta(a,b), let g(x) be the value of the
+    state after choosing x, times e^{m_i wtq(S_ii)} at a diagonal (i,i); the
+    two terms g(a)/(1 - e^Delta) + g(b)/(1 - e^-Delta) sum to
+    (g(a) - e^Delta g(b)) / (1 - e^Delta), one exact `_divide_by_binomial`.
+    Exponent vectors are (q, z_1..z_n); an inexact step raises ArithmeticError.
+    """
+    steps, _ = _tower(n)
+    zero = (0,) * (n + 1)
+    values: dict[State, dict[tuple[int, ...], int]] = {(): {zero: 1}}
+    for i, j, edges in reversed(steps):
+        pushed = {}
+        for key, branches, (dz, dq) in edges:
+            num: dict[tuple[int, ...], int] = {}
+            for (here, state), sign, shift in zip(branches, (1, -1), (zero, (dq, *dz))):
                 if i == j and m_vec[i - 1]:
-                    term *= evaluate_monomial(pt, *wtq_component(here, i, n)) ** m_vec[i - 1]
-                nxt = tuple(coll[p] for p in after)
-                merged[nxt] = merged.get(nxt, 0) + term
-        states, live = merged, after
-    return sum(states.values(), Fraction(0))
+                    w, qdeg = wtq_component(here, i, n)
+                    shift = tuple(s + m_vec[i - 1] * e for s, e in zip(shift, (qdeg, *w)))
+                for e, c in values[state].items():
+                    e = tuple(u + v for u, v in zip(e, shift))
+                    num[e] = num.get(e, 0) + sign * c
+            num = {e: c for e, c in num.items() if c}
+            pushed[key] = _divide_by_binomial(num, (-dq, *(-e for e in dz)))
+        values = pushed
+    return LaurentPoly(n, {(e[0], e[1:]): c for e, c in values[()].items()})
+
+
+def _sum_defined_at(pt: RationalPoint, n: int) -> bool:
+    """True iff no factor 1 - e^Delta of the localization sum vanishes at pt."""
+    return all(evaluate_monomial(pt, *delta) != 1 for delta in _tower(n)[1])
 
 
 def sample_point(n: int, rng: random.Random) -> RationalPoint:
@@ -216,27 +237,23 @@ def abl_verify(m_vec: tuple[int, ...], n: int, trials: int, seed: int) -> dict:
     rational points; on systematic mismatch retry once with inverted
     variables and report which convention matched.
 
-    A sampled point at which some denominator vanishes is skipped.
+    The sum is built once by `abl_character`; a sampled point at which it is
+    undefined collection by collection is skipped.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     rng = random.Random(seed)
     gc = graded_character(tuple(m_vec), TypeC(n))
+    abl = abl_character(tuple(m_vec), n)
     points: list[RationalPoint] = []
-    direct: list[Fraction] = []
     attempts = 0
     while len(points) < trials:
         attempts += 1
         if attempts > 50 * trials + 50:
-            raise DenominatorZeroError(
-                "could not sample points avoiding denominator zeros"
-            )
+            raise DenominatorZeroError("could not sample points avoiding denominator zeros")
         pt = sample_point(n, rng)
-        try:
-            direct.append(abl_evaluate(m_vec, pt, n))
-        except DenominatorZeroError:
-            continue
-        points.append(pt)
+        if _sum_defined_at(pt, n):
+            points.append(pt)
     character = [gc.evaluate(pt) for pt in points]
 
     def rows_for(values: list[Fraction]) -> list[dict]:
@@ -251,10 +268,10 @@ def abl_verify(m_vec: tuple[int, ...], n: int, trials: int, seed: int) -> dict:
             for pt, lhs, rhs in zip(points, values, character)
         ]
 
-    rows = rows_for(direct)
+    rows = rows_for([abl.evaluate(pt) for pt in points])
     convention = "direct"
     if not all(r["equal"] for r in rows):
-        inv_rows = rows_for([abl_evaluate(m_vec, pt, n, inverted=True) for pt in points])
+        inv_rows = rows_for([abl.evaluate(pt.inverted()) for pt in points])
         if all(r["equal"] for r in inv_rows):
             rows, convention = inv_rows, "inverted"
     return {
@@ -274,19 +291,3 @@ def realization(coll: Collection, n: int) -> ResolutionPoint:
         ij: Subspace.coordinate(s, 2 * n) for ij, s in coll.items()
     }
     return ResolutionPoint(n, tuple(range(1, n + 1)), spaces)
-
-
-def sl2_closed_form_check(m: int) -> bool:
-    """Symbolic n=1 identity: the two-point localization sum equals
-    sum_k q^k z^{m-2k}, checked after clearing denominators."""
-
-    def mono(e, q=0):
-        return LaurentPoly.monomial(1, 1, (e,), q)
-
-    one = LaurentPoly.one(1)
-    target = LaurentPoly(1, {(k, (m - 2 * k,)): Fraction(1) for k in range(m + 1)})
-    # summand denominators 1 - q z^-2 and 1 - q^-1 z^2
-    d1 = one - mono(-2, 1)
-    d2 = one - mono(2, -1)
-    lhs = mono(m) * d2 + mono(-m, m) * d1
-    return lhs == target * d1 * d2

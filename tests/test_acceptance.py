@@ -19,13 +19,13 @@ from spflag.bundles import (
     solve_b,
     verify_canonical_identity,
 )
-from spflag.charring import weyl_character, weyl_dimension
+from spflag.charring import LaurentPoly, weyl_character, weyl_dimension
 from spflag.fixedpoints import (
+    abl_character,
     abl_verify,
     enumerate_fixed_points,
     is_admissible,
     realization,
-    sl2_closed_form_check,
 )
 from spflag.geometry import (
     FlagPoint,
@@ -88,25 +88,35 @@ def test_criterion_2_character_oracle():
     _report(2, "graded character at q=1 equals Weyl character", ok, time.time() - start, 120)
 
 
+def _abl_matches(cases) -> bool:
+    """The localization polynomial equals the graded character term for term,
+    and one sampled abl_verify per n (20 exact trials, 3 from n = 4) agrees."""
+    ok = all(abl_character(lam, n) == graded_character(lam, TypeC(n)) for n, lam in cases)
+    for n in sorted({n for n, _ in cases}):
+        lam = max(lam for m, lam in cases if m == n)
+        report = abl_verify(lam, n, trials=20 if n < 4 else 3, seed=20_000 + n)
+        ok = ok and report["matched"] and all(r["equal"] for r in report["points"])
+    return ok
+
+
 def test_criterion_3_localization_identity():
     start = time.time()
-    ok = all(sl2_closed_form_check(m) for m in range(6))
+    ok = all(
+        abl_character((m,), 1) == LaurentPoly(1, {(k, (m - 2 * k,)): 1 for k in range(m + 1)})
+        for m in range(6)
+    )
     cases = [(2, lam) for lam in weights_up_to(2, 2)]
     cases += [(3, (1, 0, 0)), (3, (0, 1, 0)), (3, (0, 0, 1))]
-    for n, lam in cases:
-        report = abl_verify(lam, n, trials=20, seed=20_000 + n)
-        ok = ok and report["matched"] and all(r["equal"] for r in report["points"])
-    _report(3, "fixed-point sum equals graded character (20 exact trials each)", ok, time.time() - start, 600)
+    ok = ok and _abl_matches(cases)
+    _report(3, "fixed-point sum equals graded character as polynomials", ok, time.time() - start, 600)
 
 
 def test_criterion_3_localization_identity_n4():
     start = time.time()
-    ok = True
-    cases = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)]
-    for lam in cases:
-        report = abl_verify(lam, 4, trials=3, seed=20_004)
-        ok = ok and report["matched"] and all(r["equal"] for r in report["points"])
-    _report(3, "fixed-point sum equals graded character at n = 4 (3 exact trials each)", ok, time.time() - start, 600)
+    cases = [(4, lam) for lam in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1))]
+    cases += [(5, tuple(int(k == i) for k in range(5))) for i in range(5)]
+    ok = _abl_matches(cases)
+    _report(3, "fixed-point sum equals graded character at n = 4 and 5", ok, time.time() - start, 600)
 
 
 def test_criterion_4_fixed_point_census():

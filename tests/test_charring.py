@@ -57,9 +57,16 @@ def _int_poly_strategy(nvars):
     return st.dictionaries(exps, coeffs, max_size=6)
 
 
+# Besides the positive roots of the Weyl route: negated roots, and (q, z)
+# exponent vectors with a nonzero q-part first, as the localization walk divides.
+QZ_ALPHAS = [(1, -2), (-1, 2), (1, 0, -2), (-1, 1, 1), (1, -1, 0, -1), (-2, 1, 0, 1)]
+
+
 @pytest.mark.parametrize(
     "n,alpha",
-    [(n, root_weight(r)) for n in (2, 3) for r in positive_roots(TypeC(n))],
+    [(n, root_weight(r)) for n in (2, 3) for r in positive_roots(TypeC(n))]
+    + [(n, tuple(-a for a in root_weight(r))) for n in (2, 3) for r in positive_roots(TypeC(n))]
+    + [(len(alpha), alpha) for alpha in QZ_ALPHAS],
 )
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)

@@ -181,6 +181,15 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
         fails(["lift", "--input", str(path)])
         fails(["check-geometry", "--input", str(path)])
 
+    # A member whose entries have 4000 digits, within the input limit: the
+    # lift's entry (C/D)/(A/B) has 8000, too many to write as a string.
+    a_b, c_d = "1" * 4000 + "/" + "7" * 3999 + "3", "3" * 3999 + "1/2" + "9" * 3999
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 2, "d": [1], "spaces": [[[a_b, c_d, "0", "0"]]]}))
+    assert run(["check-geometry", "--input", str(path)]) == 0
+    capsys.readouterr()
+    fails(["lift", "--input", str(path)])
+
 
 def test_closed_stdout_is_a_usage_error():
     # fixed-points --n 3 prints 191 kB, more than a pipe holds, so the command

@@ -5,12 +5,12 @@ from fractions import Fraction as Q
 import pytest
 
 from spflag import fixedpoints
-from spflag.charring import RationalPoint, evaluate_monomial
+from spflag.charring import LaurentPoly, RationalPoint, evaluate_monomial
 from spflag.cli import run
 from spflag.fixedpoints import (
     DenominatorZeroError,
     ab_pair,
-    abl_evaluate,
+    abl_character,
     abl_numerator_weight,
     abl_verify,
     denominator_deltas,
@@ -18,7 +18,6 @@ from spflag.fixedpoints import (
     is_admissible,
     realization,
     sample_point,
-    sl2_closed_form_check,
     wtq_component,
 )
 from spflag.geometry import in_resolution
@@ -164,33 +163,25 @@ def test_denominator_deltas_shape():
 
 def test_abl_evaluate_n1_spot():
     pt = RationalPoint((Q(2),), Q(3))
-    assert abl_evaluate((1,), pt, 1) == Q(7, 2)
+    assert abl_character((1,), 1).evaluate(pt) == Q(7, 2)
 
 
 def test_abl_evaluate_zero_weight_is_one():
-    for n in (1, 2, 3):
-        rng = random.Random(n)
-        trials = 50 if n < 3 else 50
-        done = 0
-        while done < trials:
-            pt = sample_point(n, rng)
-            try:
-                val = abl_evaluate((0,) * n, pt, n)
-            except DenominatorZeroError:
-                continue
-            assert val == 1
-            done += 1
+    for n in (1, 2, 3, 4):
+        assert abl_character((0,) * n, n) == LaurentPoly.one(n)
 
 
-def test_abl_denominator_zero_raises():
-    pt = RationalPoint((Q(1),), Q(1))
+def test_abl_denominator_zero_raises(monkeypatch):
+    # every sampled point lies where 1 - q z^-2 vanishes
+    monkeypatch.setattr(fixedpoints, "sample_point", lambda n, rng: RationalPoint((Q(1),), Q(1)))
     with pytest.raises(DenominatorZeroError):
-        abl_evaluate((1,), pt, 1)
+        abl_verify((1,), 1, 3, seed=0)
 
 
 def test_sl2_closed_form():
     for m in range(6):
-        assert sl2_closed_form_check(m)
+        closed = LaurentPoly(1, {(k, (m - 2 * k,)): 1 for k in range(m + 1)})
+        assert abl_character((m,), 1) == closed
 
 
 def test_abl_verify_matches_direct():
@@ -217,30 +208,30 @@ def _brute_sum(m_vec, pt, n, colls, inverted=False):
     return total
 
 
-def _value_or_zero(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except DenominatorZeroError:
-        return "denominator zero"
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_abl_evaluate_equals_brute_force_sum(n):
     colls = enumerate_fixed_points(n)
     weights = [(0,) * n, (1,) * n, tuple(range(n, 0, -1)), (0,) * (n - 1) + (2,)]
+    polys = {m_vec: abl_character(m_vec, n) for m_vec in weights}
     rng = random.Random(100 + n)
     points = [sample_point(n, rng) for _ in range(6)]
-    outcomes = []
+    screened = []
     for pt in points:
+        defined = fixedpoints._sum_defined_at(pt, n)
+        screened.append(not defined)
         for m_vec in weights:
             for inverted in (False, True):
-                got = _value_or_zero(abl_evaluate, m_vec, pt, n, inverted=inverted)
-                want = _value_or_zero(_brute_sum, m_vec, pt, n, colls, inverted=inverted)
+                try:
+                    want = _brute_sum(m_vec, pt, n, colls, inverted=inverted)
+                except DenominatorZeroError:
+                    assert not defined, (m_vec, pt, inverted)
+                    continue
+                assert defined, (m_vec, pt, inverted)
+                got = polys[m_vec].evaluate(pt.inverted() if inverted else pt)
                 assert got == want, (m_vec, pt, inverted)
-                outcomes.append(got == "denominator zero")
     if n == 3:
         # the sample holds points on both sides of the screen
-        assert any(outcomes) and not all(outcomes)
+        assert any(screened) and not all(screened)
 
 
 def _patch_character(monkeypatch, change):

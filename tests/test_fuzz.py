@@ -39,8 +39,10 @@ option = st.one_of(
     st.tuples(st.sampled_from(["--count", "--force", "--bogus"])),
 )
 
+# Two 4000-digit entries: a row holding both lifts to an entry of 8000 digits.
+HUGE = ["1" * 4000 + "/" + "7" * 3999 + "3", "3" * 3999 + "1/2" + "9" * 3999]
 entry = st.one_of(
-    st.sampled_from(["0", "1", "-1", "1/2", "1/0", "x", "12", "", "nan", "1e5000"]),
+    st.sampled_from(["0", "1", "-1", "1/2", "1/0", "x", "12", "", "nan", "1e5000", *HUGE]),
     st.integers(-2, 2), st.none(), st.booleans(), st.just([]),
 )
 row = st.one_of(st.lists(entry, max_size=5), entry)

@@ -137,6 +137,12 @@ GOLDEN = {
         (0, "5e35b32fd11224e20430eac2b324dc92979ae5578a05cb22af77a8ec18f71300"),
     "abl-verify --n 3 --lambda 1,0,1 --trials 2 --seed 3 --threads 2":
         (0, "5e35b32fd11224e20430eac2b324dc92979ae5578a05cb22af77a8ec18f71300"),
+    "abl-verify --n 4 --lambda 0,1,0,1 --trials 3 --seed 3":
+        (0, "fbece62d0f9d0c04a9252ccf23f68bbb61480bc67e7c9befa42c5a9450a0da3f"),
+    # At n >= 3 sample_point draws with replacement: 19 of the 39 points
+    # sampled here hit a vanishing denominator and are skipped.
+    "abl-verify --n 3 --lambda 1,1,1 --trials 20 --seed 3":
+        (0, "1c16ef57059e42972526faae0f75b695c5890dc5d2e9ab8a01915fb4ca95ba80"),
 }
 
 
