@@ -1,6 +1,6 @@
-"""Exact Laurent polynomials in z_1..z_k and q, plus Weyl oracles for sp_2n.
+"""Integer Laurent polynomials in q and z_1..z_k, plus Weyl oracles for sp_2n.
 
-Terms are stored sparsely as {(q_exponent, z_exponent_tuple): Fraction} with
+Terms are stored sparsely as {(q, z_1, ..., z_k) exponent vector: int} with
 zero coefficients never kept.  The variable convention is z_i = e^{eps_i};
 conversion to the omega-exponent convention happens only at serialization.
 """
@@ -14,7 +14,7 @@ from math import prod
 
 from .rootsys import TypeC, positive_roots, root_weight, weight_of
 
-Term = tuple[int, tuple[int, ...]]
+Exponent = tuple[int, ...]  # (q, z_1, ..., z_k)
 
 
 @dataclass(frozen=True)
@@ -34,20 +34,18 @@ class RationalPoint:
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial with exact rational coefficients."""
+    """Sparse Laurent polynomial in q and nvars z-variables."""
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: dict[Term, Fraction] | None = None):
+    def __init__(self, nvars: int, terms: dict[Exponent, int] | None = None):
         self.nvars = nvars
-        clean: dict[Term, Fraction] = {}
-        for key, c in (terms or {}).items():
-            c = Fraction(c)
+        self.terms: dict[Exponent, int] = {}
+        for e, c in (terms or {}).items():
             if c:
-                if len(key[1]) != nvars:
+                if len(e) != nvars + 1:
                     raise ValueError("exponent vector length mismatch")
-                clean[(key[0], tuple(key[1]))] = c
-        self.terms = clean
+                self.terms[e] = c
 
     @classmethod
     def zero(cls, nvars: int) -> "LaurentPoly":
@@ -55,8 +53,7 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, nvars: int, coeff, zexp: tuple[int, ...] = (), q: int = 0) -> "LaurentPoly":
-        zexp = tuple(zexp) if zexp else (0,) * nvars
-        return cls(nvars, {(q, zexp): Fraction(coeff)})
+        return cls(nvars, {(q, *(zexp or (0,) * nvars)): coeff})
 
     @classmethod
     def one(cls, nvars: int) -> "LaurentPoly":
@@ -76,7 +73,7 @@ class LaurentPoly:
         if not self.terms:
             return "0"
         bits = []
-        for (q, ze), c in self.sorted_terms():
+        for (q, *ze), c in self.sorted_terms():
             mono = "".join(f"*z{i + 1}^{e}" for i, e in enumerate(ze) if e)
             if q:
                 mono = f"*q^{q}" + mono
@@ -90,12 +87,8 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
         out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) + c
         return LaurentPoly(self.nvars, out)
 
     def __neg__(self) -> "LaurentPoly":
@@ -105,74 +98,79 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return LaurentPoly.zero(self.nvars)
-            return LaurentPoly(self.nvars, {k: c * other for k, c in self.terms.items()})
+        if isinstance(other, int):
+            return LaurentPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
         self._check(other)
-        out: dict[Term, Fraction] = {}
-        for (q1, z1), c1 in self.terms.items():
-            for (q2, z2), c2 in other.terms.items():
-                key = (q1 + q2, tuple(a + b for a, b in zip(z1, z2)))
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+        out: dict[Exponent, int] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(self.nvars, out)
 
     __rmul__ = __mul__
 
-    def sorted_terms(self) -> list[tuple[Term, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponent, int]]:
         """Terms sorted by (q, weight lexicographic)."""
         return sorted(self.terms.items())
 
     def evaluate(self, pt: RationalPoint) -> Fraction:
-        """Exact substitution at a rational point."""
+        """Exact substitution at a rational point, summed in integers.
+
+        With x = a/b at a coordinate whose exponents range over lo..hi, a term
+        times a^-lo b^hi is the integer c a^(e-lo) b^(hi-e); the integer sum is
+        scaled back once.
+        """
         if len(pt.zs) != self.nvars:
             raise ValueError("point dimension mismatch")
-        return sum((c * evaluate_monomial(pt, ze, q) for (q, ze), c in self.terms.items()), Fraction(0))
+        coords = (pt.q, *pt.zs)
+        lo = [min(col) for col in zip(*self.terms)]
+        hi = [max(col) for col in zip(*self.terms)]
+        powers = [
+            [x.numerator**k * x.denominator ** (h - l - k) for k in range(h - l + 1)]
+            for x, l, h in zip(coords, lo, hi)
+        ]
+        total = 0
+        for e, c in self.terms.items():
+            for p, x, l in zip(powers, e, lo):
+                c *= p[x - l]
+            total += c
+        return Fraction(total) * prod(
+            Fraction(x.numerator) ** l * Fraction(x.denominator) ** -h
+            for x, l, h in zip(coords, lo, hi)
+        )
+
+    def _remap(self, f) -> "LaurentPoly":
+        """Substitute monomials: the term at e moves to f(e)."""
+        out: dict[Exponent, int] = {}
+        for e, c in self.terms.items():
+            e = f(e)
+            out[e] = out.get(e, 0) + c
+        return LaurentPoly(self.nvars, out)
 
     def specialize_q1(self) -> "LaurentPoly":
         """Sum coefficients over q-exponents."""
-        out: dict[Term, Fraction] = {}
-        for (_, ze), c in self.terms.items():
-            key = (0, ze)
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return LaurentPoly(self.nvars, out)
+        return self._remap(lambda e: (0, *e[1:]))
 
     def invert_variables(self) -> "LaurentPoly":
         """Substitute z_i -> z_i^{-1} and q -> q^{-1}."""
-        return LaurentPoly(
-            self.nvars,
-            {(-q, tuple(-e for e in ze)): c for (q, ze), c in self.terms.items()},
-        )
+        return self._remap(lambda e: tuple(-x for x in e))
 
     def swap_vars(self, a: int, b: int) -> "LaurentPoly":
-        out = {}
-        for (q, ze), c in self.terms.items():
-            e = list(ze)
-            e[a], e[b] = e[b], e[a]
-            out[(q, tuple(e))] = c
-        return LaurentPoly(self.nvars, out)
+        """Swap z_{a+1} and z_{b+1}."""
+        order = list(range(self.nvars + 1))
+        order[a + 1], order[b + 1] = b + 1, a + 1
+        return self._remap(lambda e: tuple(e[k] for k in order))
 
     def flip_var(self, a: int) -> "LaurentPoly":
-        out = {}
-        for (q, ze), c in self.terms.items():
-            e = list(ze)
-            e[a] = -e[a]
-            out[(q, tuple(e))] = c
-        return LaurentPoly(self.nvars, out)
+        """Substitute z_{a+1} -> z_{a+1}^{-1}."""
+        return self._remap(lambda e: tuple(-x if k == a + 1 else x for k, x in enumerate(e)))
 
 
-def evaluate_monomial(pt: RationalPoint, zexp: tuple[int, ...], q: int) -> Fraction:
-    """Value of q^q * prod z_i^{e_i} at the point."""
-    val = pt.q**q
-    for z, e in zip(pt.zs, zexp):
+def evaluate_monomial(pt: RationalPoint, exps: Exponent) -> Fraction:
+    """Value of q^exps[0] * prod z_i^exps[i] at the point."""
+    val = pt.q ** exps[0]
+    for z, e in zip(pt.zs, exps[1:]):
         if e:
             val *= z**e
     return val
@@ -216,11 +214,10 @@ def _alternant(v: tuple[int, ...], n: int) -> LaurentPoly:
 
     v is strictly dominant, so the 2^n n! group elements give distinct exponents.
     """
-    terms: dict[Term, int] = {}
+    terms: dict[Exponent, int] = {}
     for p in permutations(range(n)):
         for signs in product((1, -1), repeat=n):
-            e = tuple(signs[k] * v[p[k]] for k in range(n))
-            terms[(0, e)] = _perm_sign(p) * prod(signs)
+            terms[(0, *(signs[k] * v[p[k]] for k in range(n)))] = _perm_sign(p) * prod(signs)
     return LaurentPoly(n, terms)
 
 
@@ -250,15 +247,15 @@ def weyl_character(m_vec: tuple[int, ...], n: int) -> LaurentPoly:
     Alternating sum over the hyperoctahedral group divided exactly by the
     Weyl denominator in its factored form e^rho prod_{alpha>0} (1 - e^{-alpha}):
     the alternant of lambda + rho is shifted by -rho, then divided by each
-    binomial in turn.
+    binomial in turn, over z alone; the q-exponent 0 is put back at the end.
     """
     lam = weight_of(tuple(m_vec), TypeC(n))
     r = rho(n)
     top = _alternant(tuple(l + rr for l, rr in zip(lam, r)), n)
-    quo = {tuple(e - rr for e, rr in zip(ze, r)): int(c) for (_, ze), c in top.terms.items()}
+    quo = {tuple(x - s for x, s in zip(e[1:], r)): c for e, c in top.terms.items()}
     for root in positive_roots(TypeC(n)):
         quo = _divide_by_binomial(quo, root_weight(root))
-    return LaurentPoly(n, {(0, e): c for e, c in quo.items()})
+    return LaurentPoly(n, {(0, *e): c for e, c in quo.items()})
 
 
 def eps_to_omega(exps: tuple[int, ...]) -> tuple[int, ...]:
@@ -272,8 +269,7 @@ def to_json_terms(p: LaurentPoly, weight_basis: str = "eps") -> list[dict]:
     if weight_basis not in ("eps", "omega"):
         raise ValueError("weight_basis must be 'eps' or 'omega'")
     out = []
-    for (q, ze), c in p.sorted_terms():
-        w = list(ze if weight_basis == "eps" else eps_to_omega(ze))
-        mult = int(c) if c.denominator == 1 else str(c)
-        out.append({"q": q, "weight": w, "mult": mult})
+    for (q, *ze), c in p.sorted_terms():
+        w = ze if weight_basis == "eps" else list(eps_to_omega(ze))
+        out.append({"q": q, "weight": w, "mult": c})
     return out

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from functools import cache
 
-from .charring import LaurentPoly, RationalPoint, _divide_by_binomial, evaluate_monomial
+from .charring import Exponent, LaurentPoly, RationalPoint, _divide_by_binomial, evaluate_monomial
 from .geometry import ResolutionPoint, Subspace
 from .polytope import graded_character
 from .rootsys import TypeC, index_pairs
@@ -111,44 +111,35 @@ def basis_weight(l: int, n: int) -> tuple[int, ...]:
     return tuple(w)
 
 
-def wtq_component(s: frozenset[int], i: int, n: int) -> tuple[tuple[int, ...], int]:
-    """Extended weight of the wedge point: torus weight plus the number of
-    indices above i, which is its degree for the grading operator."""
+def wtq_component(s: frozenset[int], i: int, n: int) -> Exponent:
+    """Extended weight (q, z_1..z_n) of the wedge point: the number of indices
+    above i, which is its degree for the grading operator, then the torus weight."""
     if len(s) != i:
         raise ValueError(f"component of size {len(s)} at level {i}")
-    w = [0] * n
-    qdeg = 0
+    w = [0] * (n + 1)
     for l in s:
-        bw = basis_weight(l, n)
-        w = [a + b for a, b in zip(w, bw)]
-        if l > i:
-            qdeg += 1
-    return tuple(w), qdeg
+        w = [a + b for a, b in zip(w, (l > i, *basis_weight(l, n)))]
+    return tuple(w)
 
 
-def abl_numerator_weight(
-    coll: Collection, m_vec: tuple[int, ...], n: int
-) -> tuple[tuple[int, ...], int]:
+def abl_numerator_weight(coll: Collection, m_vec: tuple[int, ...], n: int) -> Exponent:
     """Extended weight of the image line; depends only on the diagonal sets."""
-    w = [0] * n
-    qdeg = 0
+    w = [0] * (n + 1)
     for i, m in enumerate(m_vec, start=1):
         if m:
-            cw, cq = wtq_component(coll[(i, i)], i, n)
-            w = [a + m * b for a, b in zip(w, cw)]
-            qdeg += m * cq
-    return tuple(w), qdeg
+            w = [a + m * b for a, b in zip(w, wtq_component(coll[(i, i)], i, n))]
+    return tuple(w)
 
 
-def denominator_deltas(coll: Collection, n: int) -> list[tuple[tuple[int, ...], int]]:
+def denominator_deltas(coll: Collection, n: int) -> list[Exponent]:
     """Extended weights wtq(S'_{i,j}) - wtq(S_{i,j}) over all positions."""
     return [_delta(*ab_pair(coll, i, j, n), i, n) for i, j in index_pairs(TypeC(n))]
 
 
-def _delta(a: int, b: int, i: int, n: int) -> tuple[tuple[int, ...], int]:
+def _delta(a: int, b: int, i: int, n: int) -> Exponent:
     """Extended weight change at level i when the sibling b replaces a."""
     wa, wb = basis_weight(a, n), basis_weight(b, n)
-    return tuple(y - x for x, y in zip(wa, wb)), (b > i) - (a > i)
+    return ((b > i) - (a > i), *(y - x for x, y in zip(wa, wb)))
 
 
 @cache
@@ -194,31 +185,31 @@ def abl_character(m_vec: tuple[int, ...], n: int) -> LaurentPoly:
     state after choosing x, times e^{m_i wtq(S_ii)} at a diagonal (i,i); the
     two terms g(a)/(1 - e^Delta) + g(b)/(1 - e^-Delta) sum to
     (g(a) - e^Delta g(b)) / (1 - e^Delta), one exact `_divide_by_binomial`.
-    Exponent vectors are (q, z_1..z_n); an inexact step raises ArithmeticError.
+    An inexact step raises ArithmeticError.
     """
     steps, _ = _tower(n)
     zero = (0,) * (n + 1)
-    values: dict[State, dict[tuple[int, ...], int]] = {(): {zero: 1}}
+    values: dict[State, dict[Exponent, int]] = {(): {zero: 1}}
     for i, j, edges in reversed(steps):
         pushed = {}
-        for key, branches, (dz, dq) in edges:
-            num: dict[tuple[int, ...], int] = {}
-            for (here, state), sign, shift in zip(branches, (1, -1), (zero, (dq, *dz))):
+        for key, branches, delta in edges:
+            num: dict[Exponent, int] = {}
+            for (here, state), sign, shift in zip(branches, (1, -1), (zero, delta)):
                 if i == j and m_vec[i - 1]:
-                    w, qdeg = wtq_component(here, i, n)
-                    shift = tuple(s + m_vec[i - 1] * e for s, e in zip(shift, (qdeg, *w)))
+                    w = wtq_component(here, i, n)
+                    shift = tuple(s + m_vec[i - 1] * e for s, e in zip(shift, w))
                 for e, c in values[state].items():
                     e = tuple(u + v for u, v in zip(e, shift))
                     num[e] = num.get(e, 0) + sign * c
             num = {e: c for e, c in num.items() if c}
-            pushed[key] = _divide_by_binomial(num, (-dq, *(-e for e in dz)))
+            pushed[key] = _divide_by_binomial(num, tuple(-d for d in delta))
         values = pushed
-    return LaurentPoly(n, {(e[0], e[1:]): c for e, c in values[()].items()})
+    return LaurentPoly(n, values[()])
 
 
 def _sum_defined_at(pt: RationalPoint, n: int) -> bool:
     """True iff no factor 1 - e^Delta of the localization sum vanishes at pt."""
-    return all(evaluate_monomial(pt, *delta) != 1 for delta in _tower(n)[1])
+    return all(evaluate_monomial(pt, delta) != 1 for delta in _tower(n)[1])
 
 
 def sample_point(n: int, rng: random.Random) -> RationalPoint:
@@ -233,11 +224,13 @@ def sample_point(n: int, rng: random.Random) -> RationalPoint:
 
 
 def abl_verify(m_vec: tuple[int, ...], n: int, trials: int, seed: int) -> dict:
-    """Compare the localization sum with the polytope character at random
-    rational points; on systematic mismatch retry once with inverted
-    variables and report which convention matched.
+    """Compare the localization sum with the polytope character as exact
+    Laurent polynomials, directly or with inverted variables, and report the
+    values at random rational points.
 
-    The sum is built once by `abl_character`; a sampled point at which it is
+    `matched` and `convention` come from polynomial equality alone.  On a
+    match a row's two values are the character's value, on a mismatch the
+    localization sum is evaluated too.  A sampled point at which the sum is
     undefined collection by collection is skipped.
     """
     if trials < 1:
@@ -245,6 +238,7 @@ def abl_verify(m_vec: tuple[int, ...], n: int, trials: int, seed: int) -> dict:
     rng = random.Random(seed)
     gc = graded_character(tuple(m_vec), TypeC(n))
     abl = abl_character(tuple(m_vec), n)
+    convention = "direct" if abl == gc else "inverted" if abl == gc.invert_variables() else None
     points: list[RationalPoint] = []
     attempts = 0
     while len(points) < trials:
@@ -254,10 +248,11 @@ def abl_verify(m_vec: tuple[int, ...], n: int, trials: int, seed: int) -> dict:
         pt = sample_point(n, rng)
         if _sum_defined_at(pt, n):
             points.append(pt)
-    character = [gc.evaluate(pt) for pt in points]
-
-    def rows_for(values: list[Fraction]) -> list[dict]:
-        return [
+    rows = []
+    for pt in points:
+        rhs = gc.evaluate(pt)
+        lhs = rhs if convention else abl.evaluate(pt)
+        rows.append(
             {
                 "z": [str(z) for z in pt.zs],
                 "q": str(pt.q),
@@ -265,23 +260,15 @@ def abl_verify(m_vec: tuple[int, ...], n: int, trials: int, seed: int) -> dict:
                 "character": str(rhs),
                 "equal": lhs == rhs,
             }
-            for pt, lhs, rhs in zip(points, values, character)
-        ]
-
-    rows = rows_for([abl.evaluate(pt) for pt in points])
-    convention = "direct"
-    if not all(r["equal"] for r in rows):
-        inv_rows = rows_for([abl.evaluate(pt.inverted()) for pt in points])
-        if all(r["equal"] for r in inv_rows):
-            rows, convention = inv_rows, "inverted"
+        )
     return {
         "n": n,
         "lambda": list(m_vec),
         "trials": trials,
         "seed": seed,
         "points": rows,
-        "matched": all(r["equal"] for r in rows),
-        "convention": convention,
+        "matched": convention is not None,
+        "convention": convention or "direct",
     }
 
 

@@ -145,7 +145,7 @@ def graded_character(m_vec: tuple[int, ...], system: RootSystem) -> LaurentPoly:
             if s:
                 for k, x in enumerate(w):
                     e[k] -= s * x
-        key = (sum(point), tuple(e))
+        key = (sum(point), *e)
         terms[key] = terms.get(key, 0) + 1
     return LaurentPoly(len(lam_eps), terms)
 

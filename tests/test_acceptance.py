@@ -102,7 +102,7 @@ def _abl_matches(cases) -> bool:
 def test_criterion_3_localization_identity():
     start = time.time()
     ok = all(
-        abl_character((m,), 1) == LaurentPoly(1, {(k, (m - 2 * k,)): 1 for k in range(m + 1)})
+        abl_character((m,), 1) == LaurentPoly(1, {(k, m - 2 * k): 1 for k in range(m + 1)})
         for m in range(6)
     )
     cases = [(2, lam) for lam in weights_up_to(2, 2)]

@@ -116,9 +116,9 @@ def test_sibling_collections_exist():
 
 
 def test_wtq_component():
-    assert wtq_component(frozenset({1, 2}), 2, 2) == ((1, 1), 0)
-    assert wtq_component(frozenset({2}), 1, 1) == ((-1,), 1)
-    assert wtq_component(frozenset({3}), 1, 2) == ((0, -1), 1)
+    assert wtq_component(frozenset({1, 2}), 2, 2) == (0, 1, 1)
+    assert wtq_component(frozenset({2}), 1, 1) == (1, -1)
+    assert wtq_component(frozenset({3}), 1, 2) == (1, 0, -1)
     with pytest.raises(ValueError):
         wtq_component(frozenset({1, 2}), 1, 2)
 
@@ -132,13 +132,12 @@ def test_numerator_weight():
         (1, 1): frozenset({1}),
     }
     lam = (2, 1)
-    w, qd = abl_numerator_weight(highest, lam, n)
-    assert (w, qd) == ((3, 1), 0)
-    assert abl_numerator_weight(highest, (0, 0), n) == ((0, 0), 0)
+    assert abl_numerator_weight(highest, lam, n) == (0, 3, 1)
+    assert abl_numerator_weight(highest, (0, 0), n) == (0, 0, 0)
 
 
 def test_numerator_n1():
-    assert abl_numerator_weight({(1, 1): frozenset({2})}, (1,), 1) == ((-1,), 1)
+    assert abl_numerator_weight({(1, 1): frozenset({2})}, (1,), 1) == (1, -1)
 
 
 def test_unique_qdeg_zero_collection_for_regular_weight():
@@ -147,7 +146,7 @@ def test_unique_qdeg_zero_collection_for_regular_weight():
         zero_q = [
             coll
             for coll in enumerate_fixed_points(n)
-            if abl_numerator_weight(coll, lam, n)[1] == 0
+            if abl_numerator_weight(coll, lam, n)[0] == 0
         ]
         assert len(zero_q) == 1
         highest = zero_q[0]
@@ -180,7 +179,7 @@ def test_abl_denominator_zero_raises(monkeypatch):
 
 def test_sl2_closed_form():
     for m in range(6):
-        closed = LaurentPoly(1, {(k, (m - 2 * k,)): 1 for k in range(m + 1)})
+        closed = LaurentPoly(1, {(k, m - 2 * k): 1 for k in range(m + 1)})
         assert abl_character((m,), 1) == closed
 
 
@@ -198,9 +197,9 @@ def _brute_sum(m_vec, pt, n, colls, inverted=False):
         pt = pt.inverted()
     total = Q(0)
     for coll in colls:
-        value = evaluate_monomial(pt, *abl_numerator_weight(coll, m_vec, n))
+        value = evaluate_monomial(pt, abl_numerator_weight(coll, m_vec, n))
         for delta in denominator_deltas(coll, n):
-            factor = 1 - evaluate_monomial(pt, *delta)
+            factor = 1 - evaluate_monomial(pt, delta)
             if factor == 0:
                 raise DenominatorZeroError(f"denominator vanished at {pt}")
             value /= factor
@@ -254,6 +253,20 @@ def test_abl_verify_reports_a_mismatch_in_both_conventions(monkeypatch, capsys):
     assert not report["matched"] and report["convention"] == "direct"
     assert not any(r["equal"] for r in report["points"])
     rc = run(["abl-verify", "--n", "2", "--lambda", "1,0", "--trials", "4", "--seed", "2"])
+    assert rc == 1 and json.loads(capsys.readouterr().out) == report
+
+
+def test_abl_verify_match_is_not_decided_by_the_sampled_points(monkeypatch, capsys):
+    # 3q - 2 vanishes at q = 2/3, the only point ever sampled, so every row
+    # agrees although the polynomials differ.
+    monkeypatch.setattr(
+        fixedpoints, "sample_point", lambda n, rng: RationalPoint((Q(5, 7),), Q(2, 3))
+    )
+    _patch_character(monkeypatch, lambda gc: gc + LaurentPoly(1, {(1, 0): 3, (0, 0): -2}))
+    report = abl_verify((1,), 1, 3, 0)
+    assert not report["matched"]
+    assert len(report["points"]) == 3 and all(r["equal"] for r in report["points"])
+    rc = run(["abl-verify", "--n", "1", "--lambda", "1", "--trials", "3", "--seed", "0"])
     assert rc == 1 and json.loads(capsys.readouterr().out) == report
 
 

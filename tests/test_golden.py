@@ -1,4 +1,4 @@
-"""Golden stdout digests of the CLI at n <= 3, and of `weyl` and `lift` at n = 4.
+"""Golden stdout digests of the CLI at n <= 3, and of `qchar`, `weyl` and `lift` at n = 4.
 
 Each entry is the exit status and the sha256 of the exact bytes a command
 writes to stdout.  The contract in docs/formats.md promises byte-identical
@@ -87,6 +87,10 @@ GOLDEN = {
         (0, "9aa886f2eeea74ce4a8fb5c0d9a34fb598c76b8f2502cfd906fd3e8c3b60204f"),
     "qchar --n 3 --lambda 1,1 --system A --weight-basis omega":
         (0, "b148fb2b08a75809c01cb1922850933bb999f37152924d64f6cf903866a17a58"),
+    "qchar --n 4 --lambda 0,1,0,1":
+        (0, "9c8b03d8fdfd666276dfa3287aff7869eb16ea11de6d0f37a58e58e0c3bf449a"),
+    "qchar --n 4 --lambda 0,1,0,1 --weight-basis omega":
+        (0, "9017b03b81f18c06821d110e3a1e3b209871f5d87c38f400f6dc47c798ed7b1d"),
     "weyl --n 3 --lambda 0,1,0":
         (0, "0d91c455b7f6f2f5aad9ed9e85e50c2d90c2f84159bdb62fb0f686f0d97bf709"),
     "weyl --n 2 --lambda 2,1 --weight-basis omega":

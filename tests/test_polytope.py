@@ -118,19 +118,32 @@ def test_graded_character_c2_omega1():
     expect = LaurentPoly(
         2,
         {
-            (0, (1, 0)): 1,
-            (1, (-1, 0)): 1,
-            (1, (0, 1)): 1,
-            (1, (0, -1)): 1,
+            (0, 1, 0): 1,
+            (1, -1, 0): 1,
+            (1, 0, 1): 1,
+            (1, 0, -1): 1,
         },
     )
     assert gc == expect
 
 
+def test_graded_character_c2_swap_and_flip():
+    # z_1 + q (z_1^-1 + z_2 + z_2^-1): swapping moves the q^0 term to z_2
+    gc = graded_character((1, 0), TypeC(2))
+    swapped = {(0, 0, 1): 1, (1, 0, -1): 1, (1, 1, 0): 1, (1, -1, 0): 1}
+    assert gc.swap_vars(0, 1) == LaurentPoly(2, swapped)
+    # z_1 z_2 + q (z_1^-1 z_2 + 1 + z_1 z_2^-1) + q^2 z_1^-1 z_2^-1
+    gc = graded_character((0, 1), TypeC(2))
+    flip0 = {(0, -1, 1): 1, (1, 1, 1): 1, (1, 0, 0): 1, (1, -1, -1): 1, (2, 1, -1): 1}
+    flip1 = {(0, 1, -1): 1, (1, -1, -1): 1, (1, 0, 0): 1, (1, 1, 1): 1, (2, -1, 1): 1}
+    assert gc.flip_var(0) == LaurentPoly(2, flip0)
+    assert gc.flip_var(1) == LaurentPoly(2, flip1)
+
+
 def test_graded_character_c1_closed_form():
     m = 4
     gc = graded_character((m,), TypeC(1))
-    expect = LaurentPoly(1, {(k, (m - 2 * k,)): 1 for k in range(m + 1)})
+    expect = LaurentPoly(1, {(k, m - 2 * k): 1 for k in range(m + 1)})
     assert gc == expect
 
 
