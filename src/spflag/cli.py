@@ -14,15 +14,18 @@ import json
 import os
 import re
 import sys
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from . import bundles, charring, fixedpoints, geometry, polytope
-from .rootsys import TypeA, TypeC, check_d
+from .rootsys import TypeA, TypeC, check_d, index_pairs
 
 ENUM_LIMIT = 4
 ABL_LIMIT = 4
 # Row entries of a flag-point file: an optionally signed integer, or p/q.
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+# Every JSON document goes out in this layout; docs/formats.md specifies it.
+_JSON = json.JSONEncoder(indent=2)
 
 
 class UsageError(Exception):
@@ -71,15 +74,16 @@ def _soft_limit(n: int, limit: int, force: bool, what: str) -> None:
         )
 
 
-def _emit(doc, output: str | None) -> None:
-    """Stream `doc` as indented JSON, or write it as is when it is text, to
-    stdout with a final newline or to the `output` file without one."""
+def _emit(chunks: Iterable[str], output: str | None) -> None:
+    """Write the text `chunks` as they come, to stdout with a final newline
+    unless the text ends in one, or to the `output` file as they are."""
 
-    def write(fh) -> None:
-        if isinstance(doc, str):
-            fh.write(doc)
-        else:
-            json.dump(doc, fh, indent=2)
+    def write(fh) -> str:
+        last = ""
+        for chunk in chunks:
+            fh.write(chunk)
+            last = chunk or last
+        return last
 
     if output:
         try:
@@ -87,10 +91,8 @@ def _emit(doc, output: str | None) -> None:
                 write(fh)
         except OSError as exc:
             raise UsageError(f"cannot write {output}: {exc}")
-    else:
-        write(sys.stdout)
-        if not (isinstance(doc, str) and doc.endswith("\n")):
-            sys.stdout.write("\n")
+    elif not write(sys.stdout).endswith("\n"):
+        sys.stdout.write("\n")
 
 
 def _system(args):
@@ -109,7 +111,7 @@ def cmd_dim(args) -> int:
     system, r = _system(args)
     _soft_limit(args.n, ENUM_LIMIT, args.force, "lattice enumeration")
     lam = _check_lambda(_parse_ints(args.lam, "lambda"), r)
-    _emit(polytope.dimension(lam, system), args.output)
+    _emit(_JSON.iterencode(polytope.dimension(lam, system)), args.output)
     return 0
 
 
@@ -125,7 +127,7 @@ def cmd_qchar(args) -> int:
         "weight_basis": args.weight_basis,
         "terms": charring.to_json_terms(gc, args.weight_basis),
     }
-    _emit(doc, args.output)
+    _emit(_JSON.iterencode(doc), args.output)
     return 0
 
 
@@ -141,7 +143,7 @@ def cmd_weyl(args) -> int:
         "weight_basis": args.weight_basis,
         "terms": charring.to_json_terms(ch, args.weight_basis),
     }
-    _emit(doc, args.output)
+    _emit(_JSON.iterencode(doc), args.output)
     return 0
 
 
@@ -163,26 +165,43 @@ def cmd_polytope(args) -> int:
         "points": [list(p) for p in points],
         "count": len(points),
     }
-    _emit(doc, args.output)
+    _emit(_JSON.iterencode(doc), args.output)
     return 0
+
+
+def _fixed_points_text(n: int) -> Iterator[str]:
+    """The `fixed-points` document as indented JSON, one chunk per collection.
+
+    The text of a component is built once per distinct ((i,j), S_{i,j}), and a
+    collection is the join of its components' text in sorted-key order.
+    """
+
+    @functools.cache
+    def component(key: tuple[int, int], s: frozenset[int]) -> str:
+        values = json.dumps(sorted(s), indent=2).replace("\n", "\n      ")
+        return f'      "{key[0]},{key[1]}": {values}'
+
+    keys = sorted(index_pairs(TypeC(n)))
+    count = 2 ** (n * n)
+    yield (f'{{\n  "command": "fixed-points",\n  "n": {n},\n'
+           f'  "count": {count},\n  "collections": [')
+    written = 0
+    for coll in fixedpoints.iter_fixed_points(n):
+        text = ",\n".join([component(k, coll[k]) for k in keys])
+        yield (",\n" if written else "\n") + "    {\n" + text + "\n    }"
+        written += 1
+    if written != count:
+        raise RuntimeError(f"the tower walk gave {written} collections, not {count}")
+    yield "\n  ]\n}"
 
 
 def cmd_fixed_points(args) -> int:
     _soft_limit(args.n, ENUM_LIMIT, args.force, "fixed-point enumeration")
-    colls = fixedpoints.enumerate_fixed_points(args.n)
     if args.count:
-        _emit(len(colls), args.output)
-        return 0
-    doc = {
-        "command": "fixed-points",
-        "n": args.n,
-        "count": len(colls),
-        "collections": [
-            {f"{i},{j}": sorted(s) for (i, j), s in sorted(coll.items())}
-            for coll in colls
-        ],
-    }
-    _emit(doc, args.output)
+        count = sum(1 for _ in fixedpoints.iter_fixed_points(args.n))
+        _emit(_JSON.iterencode(count), args.output)
+    else:
+        _emit(_fixed_points_text(args.n), args.output)
     return 0
 
 
@@ -197,7 +216,7 @@ def cmd_abl_verify(args) -> int:
         except ValueError:
             raise UsageError(f"SPFLAG_SEED must be an integer, got {text!r}")
     report = fixedpoints.abl_verify(lam, args.n, args.trials, seed)
-    _emit(report, args.output)
+    _emit(_JSON.iterencode(report), args.output)
     return 0 if report["matched"] else 1
 
 
@@ -211,7 +230,7 @@ def cmd_discrepancy(args) -> int:
         writer = csv.DictWriter(buf, fieldnames=["i", "j", "b", "exceptional"])
         writer.writeheader()
         writer.writerows(rows)
-        _emit(buf.getvalue(), args.output)
+        _emit([buf.getvalue()], args.output)
     else:
         doc = {
             "command": "discrepancy",
@@ -220,7 +239,7 @@ def cmd_discrepancy(args) -> int:
             "rows": rows,
             "canonical_identity": identity_ok,
         }
-        _emit(doc, args.output)
+        _emit(_JSON.iterencode(doc), args.output)
     return 0 if identity_ok else 1
 
 
@@ -296,7 +315,7 @@ def cmd_check_geometry(args) -> int:
         "member": member,
         "dims": [v.dim for v in flag.spaces],
     }
-    _emit(doc, args.output)
+    _emit(_JSON.iterencode(doc), args.output)
     return 0 if member else 1
 
 
@@ -305,14 +324,15 @@ def cmd_lift(args) -> int:
     try:
         point = geometry.lift(flag, n)
     except geometry.LiftError as exc:
-        _emit({"command": "lift", "error": str(exc)}, args.output)
+        _emit(_JSON.iterencode({"command": "lift", "error": str(exc)}), args.output)
         return 1
     try:
         spaces = {f"{i},{j}": _matrix_to_json(v) for (i, j), v in sorted(point.spaces.items())}
     except ValueError as exc:
         # A lifted entry can outgrow the interpreter's 4300-digit limit on str().
         raise UsageError(f"cannot write the lift of {args.input}: {exc}")
-    _emit({"command": "lift", "n": n, "d": list(flag.d), "spaces": spaces}, args.output)
+    doc = {"command": "lift", "n": n, "d": list(flag.d), "spaces": spaces}
+    _emit(_JSON.iterencode(doc), args.output)
     return 0
 
 
@@ -414,8 +434,9 @@ def main() -> None:
     try:
         code = run()
         sys.stdout.flush()
-    except BrokenPipeError as exc:
-        # The reader closed stdout: a usage error, like an unwritable --output.
+    except OSError as exc:
+        # The reader closed stdout, or its disk is full: a usage error, like an
+        # unwritable --output (every other file turns its OSError into one).
         # Pointing stdout at devnull keeps the interpreter's last flush quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write stdout: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ exactly two choices at every step of the tower, so 2^(n^2) collections.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import cache
 
@@ -47,24 +48,27 @@ def _pool(coll: Collection, i: int, j: int, n: int) -> list[int]:
     return sorted(pool)
 
 
-def enumerate_fixed_points(n: int) -> list[Collection]:
-    """All admissible collections, built in tower order."""
+def iter_fixed_points(n: int) -> Iterator[Collection]:
+    """Yield each admissible collection as the tower walk reaches it."""
     order = index_pairs(TypeC(n))
-    out: list[Collection] = []
 
-    def walk(partial: Collection, pos: int) -> None:
+    def walk(partial: Collection, pos: int) -> Iterator[Collection]:
         if pos == len(order):
-            out.append(dict(partial))
+            yield dict(partial)
             return
         i, j = order[pos]
         prev = partial.get((i - 1, j), frozenset())
         for x in _pool(partial, i, j, n):
             partial[(i, j)] = prev | {x}
-            walk(partial, pos + 1)
+            yield from walk(partial, pos + 1)
             del partial[(i, j)]
 
-    walk({}, 0)
-    return out
+    return walk({}, 0)
+
+
+def enumerate_fixed_points(n: int) -> list[Collection]:
+    """All admissible collections, in tower order."""
+    return list(iter_fixed_points(n))
 
 
 def is_admissible(coll: Collection, n: int) -> bool:

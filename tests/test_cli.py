@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import spflag
 from spflag.cli import run
+from spflag.fixedpoints import enumerate_fixed_points
 
 
 @pytest.fixture
@@ -191,22 +193,77 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
     fails(["lift", "--input", str(path)])
 
 
-def test_closed_stdout_is_a_usage_error():
-    # fixed-points --n 3 prints 191 kB, more than a pipe holds, so the command
-    # is still writing when the reader closes the pipe after one line.
+def _fixed_points_stderr(n, stdout):
+    """Exit status and stderr lines of `fixed-points --n n` writing to
+    `stdout`; a pipe is closed after its first line is read."""
     src = os.path.dirname(os.path.dirname(spflag.__file__))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "spflag.cli", "fixed-points", "--n", "3"],
-        stdout=subprocess.PIPE,
+        [sys.executable, "-m", "spflag.cli", "fixed-points", "--n", str(n)],
+        stdout=stdout,
         stderr=subprocess.PIPE,
         env=dict(os.environ, PYTHONPATH=src),
     )
-    assert proc.stdout.readline() == b"{\n"
-    proc.stdout.close()
+    if stdout == subprocess.PIPE:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
     _, err = proc.communicate(timeout=60)
-    assert proc.returncode == 2
-    lines = err.decode().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: cannot write stdout"), err
+    return proc.returncode, err.decode().splitlines()
+
+
+def test_closed_stdout_is_a_usage_error():
+    # fixed-points --n 3 prints 191 kB, more than a pipe holds, so the command
+    # is still writing when the reader closes the pipe after one line.
+    rc, lines = _fixed_points_stderr(3, subprocess.PIPE)
+    assert rc == 2
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write stdout"), lines
+
+
+def test_closed_stdout_at_n4_is_a_usage_error():
+    # The 46.5 MB document is streamed, so the closed pipe is seen within a
+    # pipe buffer of the first line, not after the whole text is built.
+    rc, lines = _fixed_points_stderr(4, subprocess.PIPE)
+    assert rc == 2
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write stdout"), lines
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_is_a_usage_error():
+    with open("/dev/full", "w") as full:
+        rc, lines = _fixed_points_stderr(3, full)
+    assert rc == 2
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write stdout"), lines
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fixed_points_stream_equals_the_encoded_document(n, tmp_path, capture):
+    doc = {
+        "command": "fixed-points",
+        "n": n,
+        "count": 2 ** (n * n),
+        "collections": [
+            {f"{i},{j}": sorted(s) for (i, j), s in sorted(coll.items())}
+            for coll in enumerate_fixed_points(n)
+        ],
+    }
+    expected = json.dumps(doc, indent=2)
+    target = tmp_path / "out.json"
+    assert capture(["fixed-points", "--n", str(n)]) == (0, expected + "\n")
+    assert capture(["fixed-points", "--n", str(n), "--output", str(target)]) == (0, "")
+    assert target.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("count", [False, True], ids=["output", "count"])
+def test_fixed_points_n4_memory_stays_small(count, tmp_path, capsys):
+    # Streaming keeps no collection alive after it is written or counted.
+    out = ["--count"] if count else ["--output", str(tmp_path / "out.json")]
+    tracemalloc.start()
+    try:
+        rc = run(["fixed-points", "--n", "4"] + out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert rc == 0 and peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_force_overrides_soft_limit(capture):

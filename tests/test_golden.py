@@ -1,4 +1,5 @@
-"""Golden stdout digests of the CLI at n <= 3, and of `qchar`, `weyl` and `lift` at n = 4.
+"""Golden stdout digests of the CLI at n <= 3, and of `qchar`, `weyl`, `lift`
+and `fixed-points` at n = 4.
 
 Each entry is the exit status and the sha256 of the exact bytes a command
 writes to stdout.  The contract in docs/formats.md promises byte-identical
@@ -111,6 +112,11 @@ GOLDEN = {
         (0, "240269e94afb4bbc4c643851e366bf4f0d870ff0753d250b854f748cf3516285"),
     "fixed-points --n 3 --threads 4":
         (0, "d21b7f85caafa9f28e4d390b428aa6b408c3fecc3fdfdacc289bd279b11102b8"),
+    # All 65,536 collections: 46,530,643 bytes.
+    "fixed-points --n 4":
+        (0, "15ca082532d9ffe39a2f781a8bce34d9189ce9b4e779a3efac4cd30fcc6a9e7b"),
+    "fixed-points --n 4 --count":
+        (0, "0f3633c0ecb81f7639c3fe70873b438e74fb8960c68f7c39e6a8eac795e70a32"),
     "discrepancy --n 3 --d 1,3":
         (0, "143ab449ea27abf8659a10f321043168bf568fe64483c037a4e3f8fd38a44b51"),
     "discrepancy --n 3 --d 1,3 --format csv":
