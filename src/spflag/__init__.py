@@ -23,7 +23,6 @@ from .rootsys import (
     phi_embed,
     positive_roots,
     radical_pairs,
-    radical_roots,
     root_vector_matrix,
     root_weight,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "polytope_spec",
     "positive_roots",
     "radical_pairs",
-    "radical_roots",
     "root_vector_matrix",
     "root_weight",
     "to_json_terms",

@@ -10,7 +10,7 @@ solve in column order.
 
 from __future__ import annotations
 
-from .rootsys import boundary_pairs, column_max, radical_pairs
+from .rootsys import TypeC, boundary_pairs, index_pairs, radical_pairs
 
 Pair = tuple[int, int]
 Ledger = dict[Pair, int]
@@ -141,7 +141,7 @@ def _lhs_vector(d: tuple[int, ...], n: int) -> Ledger:
 
 
 def solve_b(d: tuple[int, ...], n: int) -> dict[Pair, int]:
-    """Triangular solve for the b_{i,j}, columns ascending and rows descending.
+    """Triangular solve for the b_{i,j} over P_d in reversed `index_pairs` order.
 
     Matching the omega_{i,j} coefficient on both sides of the comparison
     determines each b from already-known neighbours; this is the independent
@@ -151,16 +151,17 @@ def solve_b(d: tuple[int, ...], n: int) -> dict[Pair, int]:
     pairs = radical_pairs(d, n)
     lhs = _lhs_vector(d, n)
     b: dict[Pair, int] = {}
-    for j in sorted({jj for _, jj in pairs}):
-        for i in range(column_max(j, d, n), 0, -1):
-            val = lhs.get((i, j), 0)
-            if (i + 1, j) in pairs:
-                val += (2 if i + 1 + j == 2 * n else 1) * b[(i + 1, j)]
-            if (i, j - 1) in pairs:
-                val += b[(i, j - 1)]
-            if (i + 1, j - 1) in pairs:
-                val -= b[(i + 1, j - 1)]
-            b[(i, j)] = val
+    for i, j in reversed(index_pairs(TypeC(n))):
+        if (i, j) not in pairs:
+            continue
+        val = lhs.get((i, j), 0)
+        if (i + 1, j) in pairs:
+            val += (2 if i + 1 + j == 2 * n else 1) * b[(i + 1, j)]
+        if (i, j - 1) in pairs:
+            val += b[(i, j - 1)]
+        if (i + 1, j - 1) in pairs:
+            val -= b[(i + 1, j - 1)]
+        b[(i, j)] = val
     return b
 
 

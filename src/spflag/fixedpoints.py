@@ -4,6 +4,11 @@ A fixed point is an admissible collection S = (S_{i,j}) of index sets,
 S_{i,j} inside {1..i, j+1..2n} of size i, nested along columns, compatible
 with the projections, and self-paired-free on the anti-diagonal.  There are
 exactly two choices at every step of the tower, so 2^(n^2) collections.
+
+`_tower(n)` is the one description of that tower: `iter_fixed_points` walks
+it and `abl_character` pushes the localization sum down it.  `ab_pair`,
+`denominator_deltas`, `abl_numerator_weight` and `is_admissible` check one
+collection on its own, the reference the tests compare the tower against.
 """
 
 from __future__ import annotations
@@ -49,21 +54,22 @@ def _pool(coll: Collection, i: int, j: int, n: int) -> list[int]:
 
 
 def iter_fixed_points(n: int) -> Iterator[Collection]:
-    """Yield each admissible collection as the tower walk reaches it."""
-    order = index_pairs(TypeC(n))
+    """Yield each admissible collection in tower order by walking the table of
+    `_tower(n)`, so the candidate rule runs once per edge, not per node."""
+    steps = _tower(n)
+    coll: Collection = {}
 
-    def walk(partial: Collection, pos: int) -> Iterator[Collection]:
-        if pos == len(order):
-            yield dict(partial)
+    def walk(pos: int, state: State) -> Iterator[Collection]:
+        if pos == len(steps):
+            yield dict(coll)
             return
-        i, j = order[pos]
-        prev = partial.get((i - 1, j), frozenset())
-        for x in _pool(partial, i, j, n):
-            partial[(i, j)] = prev | {x}
-            yield from walk(partial, pos + 1)
-            del partial[(i, j)]
+        i, j, edges = steps[pos]
+        branches, _ = edges[state]
+        for here, after in branches:
+            coll[(i, j)] = here
+            yield from walk(pos + 1, after)
 
-    return walk({}, 0)
+    return walk(0, ())
 
 
 def enumerate_fixed_points(n: int) -> list[Collection]:
@@ -147,13 +153,14 @@ def _delta(a: int, b: int, i: int, n: int) -> Exponent:
 
 
 @cache
-def _tower(n: int) -> tuple[tuple, frozenset]:
-    """Forward pass over the tower in `index_pairs` order.
+def _tower(n: int) -> tuple[tuple[int, int, dict], ...]:
+    """The fixed-point tower: one forward pass in `index_pairs` order, and the
+    only place that applies the candidate rule `_pool` to build collections.
 
     A state before a step holds the live components, those a later step still
-    reads through `_pool`.  Per step (i,j), lists one edge per distinct state:
-    the state, its branch (S_{i,j}, state after) for a and for b, and
-    Delta(a,b).  Also returns the set of these edge weights.
+    reads through `_pool`.  Step (i,j) is `(i, j, {state: (branches, Delta)})`
+    with one edge per distinct state: its branch (S_{i,j}, state after) for a
+    and for b, and Delta(a,b).
     """
     order = index_pairs(TypeC(n))
     last_read: dict[Pair, int] = {}
@@ -166,7 +173,7 @@ def _tower(n: int) -> tuple[tuple, frozenset]:
     live: list[Pair] = []
     for pos, (i, j) in enumerate(order):
         after = [p for p in live + [(i, j)] if last_read.get(p, -1) > pos]
-        edges = []
+        edges = {}
         for key in keys:
             coll = dict(zip(live, key))
             prev = coll.get((i - 1, j), frozenset())
@@ -175,10 +182,10 @@ def _tower(n: int) -> tuple[tuple, frozenset]:
             for x in (a, b):
                 here = coll[(i, j)] = prev | {x}
                 branches.append((here, tuple(coll[p] for p in after)))
-            edges.append((key, tuple(branches), _delta(a, b, i, n)))
-        steps.append((i, j, tuple(edges)))
-        keys, live = dict.fromkeys(s for _, branches, _ in edges for _, s in branches), after
-    return tuple(steps), frozenset(delta for *_, edges in steps for *_, delta in edges)
+            edges[key] = (tuple(branches), _delta(a, b, i, n))
+        steps.append((i, j, edges))
+        keys, live = dict.fromkeys(s for branches, _ in edges.values() for _, s in branches), after
+    return tuple(steps)
 
 
 def abl_character(m_vec: tuple[int, ...], n: int) -> LaurentPoly:
@@ -191,12 +198,12 @@ def abl_character(m_vec: tuple[int, ...], n: int) -> LaurentPoly:
     (g(a) - e^Delta g(b)) / (1 - e^Delta), one exact `_divide_by_binomial`.
     An inexact step raises ArithmeticError.
     """
-    steps, _ = _tower(n)
+    steps = _tower(n)
     zero = (0,) * (n + 1)
     values: dict[State, dict[Exponent, int]] = {(): {zero: 1}}
     for i, j, edges in reversed(steps):
         pushed = {}
-        for key, branches, delta in edges:
+        for key, (branches, delta) in edges.items():
             num: dict[Exponent, int] = {}
             for (here, state), sign, shift in zip(branches, (1, -1), (zero, delta)):
                 if i == j and m_vec[i - 1]:
@@ -213,11 +220,17 @@ def abl_character(m_vec: tuple[int, ...], n: int) -> LaurentPoly:
 
 def _sum_defined_at(pt: RationalPoint, n: int) -> bool:
     """True iff no factor 1 - e^Delta of the localization sum vanishes at pt."""
-    return all(evaluate_monomial(pt, delta) != 1 for delta in _tower(n)[1])
+    deltas = {delta for *_, edges in _tower(n) for _, delta in edges.values()}
+    return all(evaluate_monomial(pt, delta) != 1 for delta in deltas)
 
 
 def sample_point(n: int, rng: random.Random) -> RationalPoint:
-    """Random small-height rational point, preferring distinct primes."""
+    """Random rational point: z_1..z_n and q, each a ratio of two primes <= 17.
+
+    The 2(n+1) primes are distinct only for n <= 2.  For n >= 3 they are drawn
+    with replacement, so a coordinate can be 1 and coordinates can repeat, and
+    about 40% of draws at n = 3 fail the screen of `abl_verify`.
+    """
     need = n + 1
     if 2 * need <= len(_PRIMES):
         picks = rng.sample(_PRIMES, 2 * need)

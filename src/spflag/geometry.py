@@ -14,7 +14,7 @@ from fractions import Fraction
 from .rootsys import (
     Root,
     TypeC,
-    column_max,
+    index_pairs,
     positive_roots,
     radical_pairs,
     root_vector_matrix,
@@ -356,9 +356,10 @@ def _extend_choice(
 def lift(flag: FlagPoint, n: int) -> ResolutionPoint:
     """Resolution point over a flag point, by column induction.
 
-    Components are fixed column by column (j increasing, i decreasing inside a
-    column).  Whenever pr_{j+1} preserves the dimension the component is
-    forced; otherwise an admissible extension is chosen deterministically.
+    Components are fixed in reversed `index_pairs` order (j increasing, i
+    decreasing inside a column), skipping pairs outside P_d.  Whenever
+    pr_{j+1} preserves the dimension the component is forced; otherwise an
+    admissible extension is chosen deterministically.
     Raises LiftError when some step is infeasible, which signals that the
     input does not satisfy the flag membership conditions.
     """
@@ -369,38 +370,36 @@ def lift(flag: FlagPoint, n: int) -> ResolutionPoint:
         if v.dim != dl:
             raise ValueError(f"anchor V_{dl} has dim {v.dim}")
     spaces: dict[tuple[int, int], Subspace] = {}
-    columns = sorted({j for _, j in pairs})
-    for j in columns:
-        for i in range(column_max(j, d, n), 0, -1):
-            if (i, j) not in pairs:
-                continue
-            lower = Subspace.zero(2 * n)
-            if (i, j - 1) in pairs:
-                lower = project_away(spaces[(i, j - 1)], [j])
-            # W_{i,j} is cut out by the coordinate forms w_{i+1}^*..w_j^*.
-            upper_forms = _unit_vectors(range(i + 1, j + 1), 2 * n)
-            if (i + 1, j) in pairs:
-                upper_forms += spaces[(i + 1, j)].annihilator()
-            upper = Subspace.kernel(upper_forms, 2 * n)
-            if i == j and i in anchors:
-                v = anchors[i]
-            elif lower.dim == i:
-                v = lower
-            else:
-                if not upper.contains(lower):
-                    raise LiftError(f"incompatible constraints at ({i},{j})")
-                v = _extend_choice(lower, upper_forms, i, j, n)
-            ok = (
-                v.dim == i
-                and upper.contains(v)
-                and v.contains(lower)
-                and is_isotropic(
-                    project_away(v, range(j + 1, 2 * n - i + 1)), n
-                )
+    for i, j in reversed(index_pairs(TypeC(n))):
+        if (i, j) not in pairs:
+            continue
+        lower = Subspace.zero(2 * n)
+        if (i, j - 1) in pairs:
+            lower = project_away(spaces[(i, j - 1)], [j])
+        # W_{i,j} is cut out by the coordinate forms w_{i+1}^*..w_j^*.
+        upper_forms = _unit_vectors(range(i + 1, j + 1), 2 * n)
+        if (i + 1, j) in pairs:
+            upper_forms += spaces[(i + 1, j)].annihilator()
+        upper = Subspace.kernel(upper_forms, 2 * n)
+        if i == j and i in anchors:
+            v = anchors[i]
+        elif lower.dim == i:
+            v = lower
+        else:
+            if not upper.contains(lower):
+                raise LiftError(f"incompatible constraints at ({i},{j})")
+            v = _extend_choice(lower, upper_forms, i, j, n)
+        ok = (
+            v.dim == i
+            and upper.contains(v)
+            and v.contains(lower)
+            and is_isotropic(
+                project_away(v, range(j + 1, 2 * n - i + 1)), n
             )
-            if not ok:
-                raise LiftError(f"no valid component at ({i},{j})")
-            spaces[(i, j)] = v
+        )
+        if not ok:
+            raise LiftError(f"no valid component at ({i},{j})")
+        spaces[(i, j)] = v
     point = ResolutionPoint(n, d, spaces)
     if not in_resolution(point, d, n):
         raise LiftError("constructed point fails the resolution conditions")

@@ -73,8 +73,9 @@ def index_pairs(system: RootSystem) -> tuple[tuple[int, int], ...]:
     """All root index pairs, columns j descending and i ascending within a column.
 
     This order is a topological order in which (i-1,j) and (i,j+1) always
-    precede (i,j); the fibration tower and the fixed-point enumeration both
-    consume it.
+    precede (i,j): the one tower order.  `positive_roots` and the fixed-point
+    tower `fixedpoints._tower` read it as is; `geometry.lift` and
+    `bundles.solve_b` read it reversed, restricted to P_d.
     """
     pairs = []
     if isinstance(system, TypeA):
@@ -184,11 +185,6 @@ def radical_pairs(d: tuple[int, ...], n: int) -> frozenset[tuple[int, int]]:
     return frozenset(out)
 
 
-def radical_roots(d: tuple[int, ...], n: int) -> frozenset[Root]:
-    system = TypeC(n)
-    return frozenset(Root(i, j, system) for i, j in radical_pairs(tuple(d), n))
-
-
 @lru_cache(maxsize=None)
 def boundary_pairs(d: tuple[int, ...], n: int) -> frozenset[tuple[int, int]]:
     """The subset B_d of P_d: runs up each column d_m, across to the next one,
@@ -214,13 +210,3 @@ def check_d(d: tuple[int, ...], n: int) -> None:
         raise ValueError("empty index list d")
     if list(d) != sorted(set(d)) or d[0] < 1 or d[-1] > n:
         raise ValueError(f"d must be strictly increasing within 1..{n}, got {d}")
-
-
-def column_max(j: int, d: tuple[int, ...], n: int) -> int:
-    """Largest i with (i,j) in P_d, or 0 if the column is empty."""
-    pairs = radical_pairs(tuple(d), n)
-    best = 0
-    for i in range(1, min(j, 2 * n - j) + 1):
-        if (i, j) in pairs:
-            best = i
-    return best

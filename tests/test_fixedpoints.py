@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction as Q
+from itertools import zip_longest
 
 import pytest
 
@@ -32,7 +33,57 @@ def test_count_n1():
 
 @pytest.mark.parametrize("n,count", [(1, 2), (2, 16), (3, 512)])
 def test_counts(n, count):
-    assert len(enumerate_fixed_points(n)) == count
+    colls = enumerate_fixed_points(n)
+    assert len(colls) == count
+    assert len({frozenset(coll.items()) for coll in colls}) == count
+
+
+def _walk_each_node(n):
+    """The tower walk that applies the candidate rule at every search node:
+    the reference for the walk over the `_tower` table."""
+    order = index_pairs(TypeC(n))
+
+    def walk(partial, pos):
+        if pos == len(order):
+            yield dict(partial)
+            return
+        i, j = order[pos]
+        prev = partial.get((i - 1, j), frozenset())
+        for x in fixedpoints._pool(partial, i, j, n):
+            partial[(i, j)] = prev | {x}
+            yield from walk(partial, pos + 1)
+            del partial[(i, j)]
+
+    return walk({}, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_iter_fixed_points_equals_the_walk_at_each_node(n):
+    count = 0
+    for got, want in zip_longest(fixedpoints.iter_fixed_points(n), _walk_each_node(n)):
+        assert got == want
+        count += 1
+    assert count == 2 ** (n * n)
+
+
+@pytest.mark.parametrize("n,edges", [(1, 1), (2, 9), (3, 74), (4, 697)])
+def test_pool_runs_once_per_tower_edge(monkeypatch, n, edges):
+    calls = 0
+    real = fixedpoints._pool
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(fixedpoints, "_pool", counting)
+    fixedpoints._tower.cache_clear()
+    try:
+        assert sum(1 for _ in fixedpoints.iter_fixed_points(n)) == 2 ** (n * n)
+        assert calls == edges
+        assert sum(len(step[2]) for step in fixedpoints._tower(n)) == edges
+    finally:
+        fixedpoints._tower.cache_clear()
 
 
 def test_all_admissible():

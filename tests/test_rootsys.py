@@ -7,6 +7,7 @@ from spflag.rootsys import (
     TypeC,
     boundary_pairs,
     fundamental_weight,
+    index_pairs,
     pairing,
     phi_embed,
     positive_roots,
@@ -147,6 +148,30 @@ def test_radical_matches_bruteforce_pairing():
             if any(pairing(w, fundamental_weight(dl, system)) > 0 for dl in d):
                 expect.add((r.i, r.j))
         assert radical_pairs(d, n) == frozenset(expect)
+
+
+def _column_loop(d, n):
+    """The P_d order the lift and the triangular solve used before reading
+    `index_pairs`: columns j ascending, i from the column's largest down."""
+    p = radical_pairs(d, n)
+    out = []
+    for j in sorted({j for _, j in p}):
+        top = max(i for i, jj in p if jj == j)
+        out.extend((i, j) for i in range(top, 0, -1) if (i, j) in p)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_reversed_index_pairs_is_the_column_loop_on_every_p_d(n):
+    for mask in range(1, 1 << n):
+        d = tuple(i + 1 for i in range(n) if mask >> i & 1)
+        p = radical_pairs(d, n)
+        walked = [ij for ij in reversed(index_pairs(TypeC(n))) if ij in p]
+        assert walked == _column_loop(d, n)
+        # every column of P_d is {1..max}, so no pair of a column is skipped
+        for j in {j for _, j in p}:
+            column = {i for i, jj in p if jj == j}
+            assert column == set(range(1, max(column) + 1))
 
 
 def test_radical_rejects_empty():
