@@ -20,8 +20,7 @@ from fractions import Fraction
 from . import bundles, charring, fixedpoints, geometry, polytope
 from .rootsys import TypeA, TypeC, check_d, index_pairs
 
-ENUM_LIMIT = 4
-ABL_LIMIT = 4
+SOFT_LIMIT = 4
 # Row entries of a flag-point file: an optionally signed integer, or p/q.
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 # Every JSON document goes out in this layout; docs/formats.md specifies it.
@@ -66,10 +65,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _soft_limit(n: int, limit: int, force: bool, what: str) -> None:
-    if n > limit and not force:
+def _soft_limit(n: int, force: bool, what: str) -> None:
+    if n > SOFT_LIMIT and not force:
         raise UsageError(
-            f"n = {n} exceeds the soft limit {limit} for {what}; "
+            f"n = {n} exceeds the soft limit {SOFT_LIMIT} for {what}; "
             f"rerun with --force to proceed anyway"
         )
 
@@ -109,7 +108,7 @@ def _system(args):
 
 def cmd_dim(args) -> int:
     system, r = _system(args)
-    _soft_limit(args.n, ENUM_LIMIT, args.force, "lattice enumeration")
+    _soft_limit(args.n, args.force, "lattice enumeration")
     lam = _check_lambda(_parse_ints(args.lam, "lambda"), r)
     _emit(_JSON.iterencode(polytope.dimension(lam, system)), args.output)
     return 0
@@ -117,7 +116,7 @@ def cmd_dim(args) -> int:
 
 def cmd_qchar(args) -> int:
     system, r = _system(args)
-    _soft_limit(args.n, ENUM_LIMIT, args.force, "lattice enumeration")
+    _soft_limit(args.n, args.force, "lattice enumeration")
     lam = _check_lambda(_parse_ints(args.lam, "lambda"), r)
     gc = polytope.graded_character(lam, system)
     doc = {
@@ -132,7 +131,7 @@ def cmd_qchar(args) -> int:
 
 
 def cmd_weyl(args) -> int:
-    _soft_limit(args.n, ENUM_LIMIT, args.force, "the Weyl group sum")
+    _soft_limit(args.n, args.force, "the Weyl group sum")
     lam = _check_lambda(_parse_ints(args.lam, "lambda"), args.n)
     ch = charring.weyl_character(lam, args.n)
     doc = {
@@ -149,7 +148,7 @@ def cmd_weyl(args) -> int:
 
 def cmd_polytope(args) -> int:
     system, r = _system(args)
-    _soft_limit(args.n, ENUM_LIMIT, args.force, "lattice enumeration")
+    _soft_limit(args.n, args.force, "lattice enumeration")
     lam = _check_lambda(_parse_ints(args.lam, "lambda"), r)
     spec = polytope.polytope_spec(lam, system)
     points = polytope.lattice_points(spec)
@@ -196,7 +195,7 @@ def _fixed_points_text(n: int) -> Iterator[str]:
 
 
 def cmd_fixed_points(args) -> int:
-    _soft_limit(args.n, ENUM_LIMIT, args.force, "fixed-point enumeration")
+    _soft_limit(args.n, args.force, "fixed-point enumeration")
     if args.count:
         count = sum(1 for _ in fixedpoints.iter_fixed_points(args.n))
         _emit(_JSON.iterencode(count), args.output)
@@ -206,7 +205,7 @@ def cmd_fixed_points(args) -> int:
 
 
 def cmd_abl_verify(args) -> int:
-    _soft_limit(args.n, ABL_LIMIT, args.force, "localization verification")
+    _soft_limit(args.n, args.force, "localization verification")
     lam = _check_lambda(_parse_ints(args.lam, "lambda"), args.n)
     seed = args.seed
     if seed is None:
@@ -221,7 +220,7 @@ def cmd_abl_verify(args) -> int:
 
 
 def cmd_discrepancy(args) -> int:
-    _soft_limit(args.n, ENUM_LIMIT, args.force, "discrepancy tables")
+    _soft_limit(args.n, args.force, "discrepancy tables")
     d = _valid_d(_parse_ints(args.d, "d"), args.n)
     rows = bundles.discrepancy_table(d, args.n)
     identity_ok, _ = bundles.verify_canonical_identity(d, args.n)

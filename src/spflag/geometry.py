@@ -269,8 +269,10 @@ class ResolutionPoint:
     d: tuple[int, ...]
     spaces: dict[tuple[int, int], Subspace]
 
-    def pairs(self) -> frozenset[tuple[int, int]]:
-        return radical_pairs(self.d, self.n)
+
+def _in_w(v: Subspace, i: int, j: int) -> bool:
+    """V ⊆ W_{i,j} = span(w_1..w_i, w_{j+1}..w_2n): RREF rows vanish on i+1..j."""
+    return all(x == 0 for row in v.rows for x in row[i:j])
 
 
 def in_resolution(p: ResolutionPoint, d: tuple[int, ...], n: int) -> bool:
@@ -278,8 +280,7 @@ def in_resolution(p: ResolutionPoint, d: tuple[int, ...], n: int) -> bool:
     if set(p.spaces) != set(pairs):
         raise ValueError("resolution point shape does not match P_d")
     for (i, j), v in p.spaces.items():
-        # V_{i,j} lies in W_{i,j} = span(w_1..w_i, w_{j+1}..w_2n).
-        if v.dim != i or any(x != 0 for row in v.rows for x in row[i:j]):
+        if v.dim != i or not _in_w(v, i, j):
             return False
     for i, j in pairs:
         v = p.spaces[(i, j)]
@@ -329,12 +330,16 @@ def in_open_cell(p: ResolutionPoint) -> bool:
 
 
 def _extend_choice(
-    lower: Subspace, upper_forms: list[Vector], i: int, j: int, n: int
+    lower: Subspace, above: Subspace | None, i: int, j: int, n: int
 ) -> Subspace:
-    """Grow `lower` to dimension i inside the kernel of `upper_forms`, keeping
-    its image under the projection P that zeroes coordinates j+1..2n-i
+    """Grow `lower` to dimension i inside W_{i,j} ∩ `above` (W_{i,j} if None),
+    keeping its image under the projection P that zeroes coordinates j+1..2n-i
     isotropic; among valid one-vector extensions the candidate with
-    lexicographically minimal RREF is taken, for determinism."""
+    lexicographically minimal RREF is taken, for determinism.  Only here is
+    W_{i,j} ∩ `above` a kernel of forms: w_{i+1}^*..w_j^* and ann(`above`)."""
+    upper_forms = _unit_vectors(range(i + 1, j + 1), 2 * n)
+    if above is not None:
+        upper_forms += above.annihilator()
     middle = set(range(j + 1, 2 * n - i + 1))
     j_mat = symplectic_form(n)
     current = lower
@@ -359,7 +364,8 @@ def lift(flag: FlagPoint, n: int) -> ResolutionPoint:
     Components are fixed in reversed `index_pairs` order (j increasing, i
     decreasing inside a column), skipping pairs outside P_d.  Whenever
     pr_{j+1} preserves the dimension the component is forced; otherwise an
-    admissible extension is chosen deterministically.
+    admissible extension is chosen deterministically by `_extend_choice`.
+    Containment in W_{i,j} ∩ V_{i+1,j} is tested by `_in_w` and `contains`.
     Raises LiftError when some step is infeasible, which signals that the
     input does not satisfy the flag membership conditions.
     """
@@ -373,29 +379,22 @@ def lift(flag: FlagPoint, n: int) -> ResolutionPoint:
     for i, j in reversed(index_pairs(TypeC(n))):
         if (i, j) not in pairs:
             continue
-        lower = Subspace.zero(2 * n)
-        if (i, j - 1) in pairs:
-            lower = project_away(spaces[(i, j - 1)], [j])
-        # W_{i,j} is cut out by the coordinate forms w_{i+1}^*..w_j^*.
-        upper_forms = _unit_vectors(range(i + 1, j + 1), 2 * n)
-        if (i + 1, j) in pairs:
-            upper_forms += spaces[(i + 1, j)].annihilator()
-        upper = Subspace.kernel(upper_forms, 2 * n)
+        left, above = spaces.get((i, j - 1)), spaces.get((i + 1, j))
+        lower = Subspace.zero(2 * n) if left is None else project_away(left, [j])
         if i == j and i in anchors:
             v = anchors[i]
         elif lower.dim == i:
             v = lower
         else:
-            if not upper.contains(lower):
+            if not (_in_w(lower, i, j) and (above is None or above.contains(lower))):
                 raise LiftError(f"incompatible constraints at ({i},{j})")
-            v = _extend_choice(lower, upper_forms, i, j, n)
+            v = _extend_choice(lower, above, i, j, n)
         ok = (
             v.dim == i
-            and upper.contains(v)
+            and _in_w(v, i, j)
+            and (above is None or above.contains(v))
             and v.contains(lower)
-            and is_isotropic(
-                project_away(v, range(j + 1, 2 * n - i + 1)), n
-            )
+            and is_isotropic(project_away(v, range(j + 1, 2 * n - i + 1)), n)
         )
         if not ok:
             raise LiftError(f"no valid component at ({i},{j})")

@@ -3,12 +3,15 @@ from fractions import Fraction as Q
 
 import pytest
 
+from spflag import geometry
 from spflag.bundles import all_d
 from spflag.geometry import (
     FlagPoint,
     LiftError,
     ResolutionPoint,
     Subspace,
+    _in_w,
+    _unit_vectors,
     apply_matrix,
     eta_matrix,
     flat_family_form,
@@ -245,6 +248,66 @@ def test_lift_deterministic_on_degenerate_fiber():
     r1 = lift(flag, 2)
     r2 = lift(flag, 2)
     assert r1.spaces == r2.spaces
+
+
+def _random_inside(u: Subspace, k: int, rng) -> Subspace:
+    """Span of k random combinations of the rows of u."""
+    vecs = []
+    for _ in range(k):
+        v = [Q(0)] * u.ambient
+        for row in u.rows:
+            c = rng.randint(-3, 3)
+            v = [a + c * b for a, b in zip(v, row)]
+        vecs.append(tuple(v))
+    return Subspace.span(vecs, u.ambient)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_in_w_and_contains_is_the_kernel_of_forms(n):
+    # The kernel of w_{i+1}^*..w_j^* and ann(V) is W_{i,j} ∩ V, so testing
+    # containment in it equals testing _in_w and V.contains.
+    rng = random.Random(40 + n)
+    seen = set()
+    for _ in range(6):
+        v = random_subspace(2 * n, rng.randint(0, 2 * n), rng)
+        for i in range(1, 2 * n):
+            for j in range(i, 2 * n - i + 1):
+                forms = _unit_vectors(range(i + 1, j + 1), 2 * n) + v.annihilator()
+                meet = Subspace.kernel(forms, 2 * n)
+                in_w = w(2 * n, *range(1, i + 1), *range(j + 1, 2 * n + 1))
+                for source in (w(2 * n, *range(1, 2 * n + 1)), in_w, v, meet):
+                    u = _random_inside(source, rng.randint(0, 2), rng)
+                    direct = _in_w(u, i, j) and v.contains(u)
+                    assert meet.contains(u) == direct
+                    seen.add(direct)
+    assert seen == {True, False}
+
+
+def test_lift_calls_kernel_only_to_choose(monkeypatch):
+    # Each call to Subspace.kernel records whether _extend_choice is running.
+    calls, choosing = [], []
+    kernel, extend = Subspace.kernel.__func__, geometry._extend_choice
+
+    def counted_kernel(cls, forms, ambient):
+        calls.append(bool(choosing))
+        return kernel(cls, forms, ambient)
+
+    def counted_extend(*args):
+        choosing.append(True)
+        try:
+            return extend(*args)
+        finally:
+            choosing.pop()
+
+    monkeypatch.setattr(Subspace, "kernel", classmethod(counted_kernel))
+    monkeypatch.setattr(geometry, "_extend_choice", counted_extend)
+    rng = random.Random(11)
+    for n in (2, 3, 4):
+        lift(random_sp_flag(tuple(range(1, n + 1)), n, rng), n)
+        assert calls == [], f"open-cell lift at n = {n} made kernel calls"
+        lift(random_sp_flag((n,), n, rng), n)
+        assert calls and all(calls)
+        calls.clear()
 
 
 # --- open cell and divisors ------------------------------------------------------

@@ -79,6 +79,21 @@ FLAGS = {
         "d": [2, 4],
         "spaces": [[["1", "0", "-4/3", "-1/2", "1", "-7", "-3/2", "-2/3"], OPEN4[1][1]], OPEN4[3]],
     },
+    # V_2 = span(w_1, w_3) and V_3 = span(w_2, w_3, w_6): not a member.  At
+    # (2,3) the projection pr_3 V_2 = span(w_1) is too small to be V_{2,3} and
+    # does not lie in V_{3,3} = V_3, so lift reports incompatible constraints.
+    "flag_23_incompatible": {
+        "n": 3,
+        "d": [2, 3],
+        "spaces": [
+            [["1", "0", "0", "0", "0", "0"], ["0", "0", "1", "0", "0", "0"]],
+            [
+                ["0", "1", "0", "0", "0", "0"],
+                ["0", "0", "1", "0", "0", "0"],
+                ["0", "0", "0", "0", "0", "1"],
+            ],
+        ],
+    },
 }
 
 GOLDEN = {
@@ -137,6 +152,10 @@ GOLDEN = {
         (1, "e7e4fcfe04b5bdeb6283235fabb54cba175fcaf99f87732e47291f51ed3189c8"),
     "check-geometry --input {flag4_24_bad}":
         (1, "cbc324be47eb08fbf5b2aab16c2ba576c44c123e5bac5ecb4f66a1652044b4d7"),
+    "lift --input {flag_23_incompatible}":
+        (1, "e5a5e526e467be24d7190f047078e4934d584dab2c62e3e76009a14105ed059e"),
+    "check-geometry --input {flag_23_incompatible}":
+        (1, "0614cd3bb21245246d31803c9534d48d55446ae1564caeb7a36f280eccdebba6"),
     "check-geometry --input {flag_13}":
         (0, "07f9693de52a46481cf6c029ef7fcea08100a336af6336e3ed352d0a11d88813"),
     "abl-verify --n 2 --lambda 1,1 --trials 5 --seed 7 --threads 1":
