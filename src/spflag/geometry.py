@@ -26,7 +26,8 @@ Matrix = tuple[Vector, ...]
 
 
 class LiftError(ValueError):
-    """No valid resolution component exists: the flag point is not a member."""
+    """No resolution point over the flag point: some component's lower bound
+    does not fit inside its upper bound (see `lift`)."""
 
 
 # ---------------------------------------------------------------------------
@@ -329,17 +330,14 @@ def in_open_cell(p: ResolutionPoint) -> bool:
 # lift
 
 
-def _extend_choice(
-    lower: Subspace, above: Subspace | None, i: int, j: int, n: int
-) -> Subspace:
-    """Grow `lower` to dimension i inside W_{i,j} ∩ `above` (W_{i,j} if None),
-    keeping its image under the projection P that zeroes coordinates j+1..2n-i
-    isotropic; among valid one-vector extensions the candidate with
-    lexicographically minimal RREF is taken, for determinism.  Only here is
-    W_{i,j} ∩ `above` a kernel of forms: w_{i+1}^*..w_j^* and ann(`above`)."""
-    upper_forms = _unit_vectors(range(i + 1, j + 1), 2 * n)
-    if above is not None:
-        upper_forms += above.annihilator()
+def _extend_choice(lower: Subspace, bound, i: int, j: int, n: int) -> Subspace:
+    """Grow `lower` to dimension i inside the upper bound of `lift`, taking
+    among valid one-vector extensions the candidate with lexicographically
+    minimal RREF, for determinism.  Only here is the bound a kernel of forms:
+    w_{i+1}^*..w_j^*, ann(V) with the coordinates `kill` zeroed for each
+    (V, kill) in `bound`, and the pairings (Pc)·J·P."""
+    forms = _unit_vectors(range(i + 1, j + 1), 2 * n)
+    forms += [_zeroed(f, kill) for v, kill in bound for f in v.annihilator()]
     middle = set(range(j + 1, 2 * n - i + 1))
     j_mat = symplectic_form(n)
     current = lower
@@ -347,7 +345,7 @@ def _extend_choice(
         # Px pairs to zero with Pc iff the form (Pc)·J·P vanishes on x.
         projected = tuple(_zeroed(c, middle) for c in current.rows)
         pairing = [_zeroed(f, middle) for f in mat_mul(projected, j_mat)]
-        feasible = Subspace.kernel(upper_forms + pairing, 2 * n)
+        feasible = Subspace.kernel(forms + pairing, 2 * n)
         candidates = []
         for x in feasible.rows:
             if not current.contains_vector(x):
@@ -359,15 +357,20 @@ def _extend_choice(
 
 
 def lift(flag: FlagPoint, n: int) -> ResolutionPoint:
-    """Resolution point over a flag point, by column induction.
+    """Resolution point over a flag point, from one bound per component.
 
     Components are fixed in reversed `index_pairs` order (j increasing, i
-    decreasing inside a column), skipping pairs outside P_d.  Whenever
-    pr_{j+1} preserves the dimension the component is forced; otherwise an
-    admissible extension is chosen deterministically by `_extend_choice`.
-    Containment in W_{i,j} ∩ V_{i+1,j} is tested by `_in_w` and `contains`.
-    Raises LiftError when some step is infeasible, which signals that the
-    input does not satisfy the flag membership conditions.
+    decreasing inside a column), skipping pairs outside P_d.  The lower bound
+    of (i, j) is pr_j V_{k,j-1} for the largest k <= i with (k, j-1) in P_d,
+    plus the anchor V_{d_l} at (d_l, d_l).  The upper bound is W_{i,j}, the
+    isotropy of P·V for the projection P zeroing j+1..2n-i, and V_{i+1,j};
+    at the foot of a column, where V_{i+1,j} does not exist, it is instead
+    the preimage {x : pr_{j+1..d_l} x in V_{d_l}} of each anchor with d_l > j.
+    If the lower bound has dimension at most i and lies in the upper bound,
+    `_extend_choice` grows it to dimension i; otherwise LiftError reports
+    incompatible constraints at (i,j).  On every coordinate flag at n <= 3,
+    and on every coordinate member at n = 4, this raises exactly when
+    `in_sp_flag_a` rejects the flag.
     """
     d = tuple(flag.d)
     pairs = radical_pairs(d, n)
@@ -379,26 +382,23 @@ def lift(flag: FlagPoint, n: int) -> ResolutionPoint:
     for i, j in reversed(index_pairs(TypeC(n))):
         if (i, j) not in pairs:
             continue
-        left, above = spaces.get((i, j - 1)), spaces.get((i + 1, j))
+        left = next((spaces[k, j - 1] for k in range(i, 0, -1) if (k, j - 1) in spaces), None)
         lower = Subspace.zero(2 * n) if left is None else project_away(left, [j])
         if i == j and i in anchors:
-            v = anchors[i]
-        elif lower.dim == i:
-            v = lower
+            lower = lower.sum(anchors[i])
+        above = spaces.get((i + 1, j))
+        if above is not None:
+            bound = [(above, set())]
         else:
-            if not (_in_w(lower, i, j) and (above is None or above.contains(lower))):
-                raise LiftError(f"incompatible constraints at ({i},{j})")
-            v = _extend_choice(lower, above, i, j, n)
-        ok = (
-            v.dim == i
-            and _in_w(v, i, j)
-            and (above is None or above.contains(v))
-            and v.contains(lower)
-            and is_isotropic(project_away(v, range(j + 1, 2 * n - i + 1)), n)
-        )
-        if not ok:
-            raise LiftError(f"no valid component at ({i},{j})")
-        spaces[(i, j)] = v
+            bound = [(v, set(range(j + 1, dl + 1))) for dl, v in anchors.items() if dl > j]
+        if not (
+            lower.dim <= i
+            and _in_w(lower, i, j)
+            and all(v.contains_vector(_zeroed(r, kill)) for v, kill in bound for r in lower.rows)
+            and is_isotropic(project_away(lower, range(j + 1, 2 * n - i + 1)), n)
+        ):
+            raise LiftError(f"incompatible constraints at ({i},{j})")
+        spaces[(i, j)] = _extend_choice(lower, bound, i, j, n) if lower.dim < i else lower
     point = ResolutionPoint(n, d, spaces)
     if not in_resolution(point, d, n):
         raise LiftError("constructed point fails the resolution conditions")

@@ -10,7 +10,8 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction as Q
-from itertools import product
+from functools import cache
+from itertools import combinations, product
 
 from spflag.bundles import (
     all_d,
@@ -29,8 +30,10 @@ from spflag.fixedpoints import (
 )
 from spflag.geometry import (
     FlagPoint,
+    Subspace,
     in_resolution,
     in_sp_flag_a,
+    in_sp_grass_a,
     isotropy_transport_check,
     lift,
     perp,
@@ -201,6 +204,48 @@ def test_criterion_7_polytope_embedding():
     _report(7, "symplectic points embed into the type-A polytope", ok, time.time() - start, 120)
 
 
+def _coordinate_members(d: tuple[int, ...], n: int) -> list[FlagPoint]:
+    """Coordinate flags (w_{S_1}, ..., w_{S_k}) of SpF^a_d: each w_S passes
+    the Grassmannian test, and S_l without d_l < x <= d_{l+1} lies in S_{l+1}."""
+
+    @cache
+    def space(s):
+        return Subspace.coordinate(s, 2 * n)
+
+    level = [()]
+    for l, k in enumerate(d):
+        grass = [s for s in combinations(range(1, 2 * n + 1), k) if in_sp_grass_a(space(s), k, n)]
+        level = [
+            sets + (s,)
+            for sets in level
+            for s in grass
+            if not sets or {x for x in sets[-1] if not d[l - 1] < x <= k} <= set(s)
+        ]
+    return [FlagPoint(d, tuple(map(space, sets))) for sets in level]
+
+
+# The coordinate members at n = 4 for each d with a gap d_{l+1} - d_l > 1.
+GAP_MEMBERS_4 = {(1, 3): 164, (1, 4): 88, (2, 4): 164, (1, 2, 4): 460, (1, 3, 4): 488}
+# Every GAP_STRIDE-th of those members is lifted, keeping this near 5 s.
+GAP_STRIDE = 4
+
+
+def test_criterion_8_gap_coordinate_lifts():
+    start = time.time()
+    ok = True
+    n = 4
+    gap = [d for d in all_d(n) if any(b - a > 1 for a, b in zip(d, d[1:]))]
+    ok = ok and sorted(gap) == sorted(GAP_MEMBERS_4)
+    members = []
+    for d in gap:
+        flags = _coordinate_members(d, n)
+        ok = ok and len(flags) == GAP_MEMBERS_4[d]
+        members += flags
+    for flag in members[::GAP_STRIDE]:
+        ok = ok and in_sp_flag_a(flag, n) and project_pi(lift(flag, n)) == flag
+    _report(8, f"lift every {GAP_STRIDE}th of the 1,364 gap-d coordinate members at n = 4", ok, time.time() - start, 60)
+
+
 ALL = [
     test_criterion_1_dimension_oracle,
     test_criterion_2_character_oracle,
@@ -210,6 +255,7 @@ ALL = [
     test_criterion_5_discrepancy_suite,
     test_criterion_6_geometry_round_trips,
     test_criterion_7_polytope_embedding,
+    test_criterion_8_gap_coordinate_lifts,
 ]
 
 

@@ -17,6 +17,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spflag.bundles import all_d
 from spflag.cli import run
 
 fuzz = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -132,3 +133,29 @@ def test_cli_exit_codes_and_reports(command, n, lam, extra, out_name, env_seed):
 )
 def test_flag_files_exit_cleanly(command, flag, out_name):
     _run_and_check(command, [], out_name, flag=flag)
+
+
+@st.composite
+def coordinate_flag(draw):
+    """A well-formed flag-point file whose spaces are coordinate subspaces."""
+    n = draw(st.integers(1, 3))
+    d = draw(st.sampled_from(all_d(n)))
+    spaces = []
+    for k in d:
+        s = draw(st.lists(st.integers(1, 2 * n), min_size=k, max_size=k, unique=True))
+        spaces.append([[str(int(c == l)) for c in range(1, 2 * n + 1)] for l in s])
+    return json.dumps({"n": n, "d": list(d), "spaces": spaces})
+
+
+@fuzz
+@given(flag=coordinate_flag())
+def test_lift_exits_as_check_geometry(flag):
+    codes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "flag.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(flag)
+        for command in ("check-geometry", "lift"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(run([command, "--input", path]))
+    assert codes[0] == codes[1] and codes[0] in (0, 1), flag

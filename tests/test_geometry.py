@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from itertools import combinations, product
 
 import pytest
 
@@ -35,8 +36,10 @@ from spflag.geometry import (
     random_sp_flag,
     random_subspace,
     sigma_involution,
+    sp_lower_matrix,
     symplectic_form,
 )
+from spflag.rootsys import TypeC, positive_roots, radical_pairs
 
 
 def w(ambient, *ls):
@@ -248,6 +251,73 @@ def test_lift_deterministic_on_degenerate_fiber():
     r1 = lift(flag, 2)
     r2 = lift(flag, 2)
     assert r1.spaces == r2.spaces
+
+
+@pytest.mark.parametrize("n,members", [(1, 2), (2, 18), (3, 228)])
+def test_lift_iff_member_on_coordinate_flags(n, members):
+    # Every coordinate flag, for every d: lift raises exactly on the flags
+    # in_sp_flag_a rejects, and projects back to the others.  `members` counts
+    # the flags it accepts.
+    count = 0
+    for d in all_d(n):
+        for sets in product(*(combinations(range(1, 2 * n + 1), k) for k in d)):
+            flag = FlagPoint(d, tuple(w(2 * n, *s) for s in sets))
+            member = in_sp_flag_a(flag, n)
+            try:
+                back = project_pi(lift(flag, n))
+            except LiftError:
+                assert not member, (d, sets)
+            else:
+                assert member and back == flag, (d, sets)
+            count += member
+    assert count == members
+
+
+def _exp_nilpotent(m, size: int):
+    """exp(m), the sum of m^k / k!, for a nilpotent size x size matrix."""
+    out = term = tuple(tuple(Q(int(r == c)) for c in range(size)) for r in range(size))
+    for k in range(1, size):
+        term = tuple(tuple(x / k for x in row) for row in mat_mul(term, m))
+        out = tuple(tuple(a + b for a, b in zip(p, q)) for p, q in zip(out, term))
+    return out
+
+
+def _orbit_point(sets, d, n, rng) -> FlagPoint:
+    """V_{d_l} = exp(sum of c_α f_α over α with <α, ω_{d_l}> > 0) · w_{S_l},
+    with one random c_α per root shared by every l."""
+    coeffs = {r: Q(rng.randint(-3, 3), rng.randint(1, 2)) for r in positive_roots(TypeC(n))}
+    spaces = []
+    for dl, s in zip(d, sets):
+        radical = radical_pairs((dl,), n)
+        nil = sp_lower_matrix({r: c for r, c in coeffs.items() if r.pair in radical}, n)
+        spaces.append(apply_matrix(_exp_nilpotent(nil, 2 * n), w(2 * n, *s)))
+    return FlagPoint(d, tuple(spaces))
+
+
+@pytest.mark.parametrize("n,per_d", [(3, 20), (4, 4)])
+def test_lift_iff_member_on_orbit_points(n, per_d):
+    # Orbit points of coordinate members, for every d with a gap
+    # d_{l+1} - d_l > 1: some are members and some are not, and lift raises
+    # exactly on the non-members.
+    rng = random.Random(70 + n)
+    outcomes = set()
+    for d in all_d(n):
+        if all(b - a == 1 for a, b in zip(d, d[1:])):
+            continue
+        for _ in range(per_d):
+            sets = [rng.sample(range(1, 2 * n + 1), k) for k in d]
+            while not in_sp_flag_a(FlagPoint(d, tuple(w(2 * n, *s) for s in sets)), n):
+                sets = [rng.sample(range(1, 2 * n + 1), k) for k in d]
+            flag = _orbit_point(sets, d, n, rng)
+            member = in_sp_flag_a(flag, n)
+            try:
+                back = project_pi(lift(flag, n))
+            except LiftError:
+                assert not member, (d, sets)
+            else:
+                assert member and back == flag, (d, sets)
+            outcomes.add(member)
+    assert outcomes == {True, False}
 
 
 def _random_inside(u: Subspace, k: int, rng) -> Subspace:

@@ -72,16 +72,18 @@ FLAGS = {
     },
     "flag4_1234": {"n": 4, "d": [1, 2, 3, 4], "spaces": OPEN4},
     "flag4_24": {"n": 4, "d": [2, 4], "spaces": [OPEN4[1], OPEN4[3]]},
-    # One entry of V_2 changed: not a member, and lift fails at (2,4) after
-    # choosing the free components (1,2) and (3,4).
+    # One entry of V_2 changed: not a member, since pr_{3,4} V_2 does not lie
+    # in V_4.  The anchor V_2 is then outside the preimage of V_4 that bounds
+    # V_{2,2} from above, so lift reports incompatible constraints at (2,2).
     "flag4_24_bad": {
         "n": 4,
         "d": [2, 4],
         "spaces": [[["1", "0", "-4/3", "-1/2", "1", "-7", "-3/2", "-2/3"], OPEN4[1][1]], OPEN4[3]],
     },
-    # V_2 = span(w_1, w_3) and V_3 = span(w_2, w_3, w_6): not a member.  At
-    # (2,3) the projection pr_3 V_2 = span(w_1) is too small to be V_{2,3} and
-    # does not lie in V_{3,3} = V_3, so lift reports incompatible constraints.
+    # V_2 = span(w_1, w_3) and V_3 = span(w_2, w_3, w_6): not a member, since
+    # pr_3 V_2 = span(w_1) does not lie in V_3.  The anchor V_2 is then outside
+    # the preimage of V_3 that bounds V_{2,2} from above, so lift reports
+    # incompatible constraints at (2,2).
     "flag_23_incompatible": {
         "n": 3,
         "d": [2, 3],
@@ -91,6 +93,22 @@ FLAGS = {
                 ["0", "1", "0", "0", "0", "0"],
                 ["0", "0", "1", "0", "0", "0"],
                 ["0", "0", "0", "0", "0", "1"],
+            ],
+        ],
+    },
+    # V_1 = span(w_3) and V_4 = span(w_1, w_2, w_5, w_6): a member.  V_{1,3}
+    # is free and must lie in the preimage of V_4 under pr_4; a choice blind
+    # to V_4 leaves no valid V_{1,4}.
+    "flag4_14_coordinate": {
+        "n": 4,
+        "d": [1, 4],
+        "spaces": [
+            [["0", "0", "1", "0", "0", "0", "0", "0"]],
+            [
+                ["1", "0", "0", "0", "0", "0", "0", "0"],
+                ["0", "1", "0", "0", "0", "0", "0", "0"],
+                ["0", "0", "0", "0", "1", "0", "0", "0"],
+                ["0", "0", "0", "0", "0", "1", "0", "0"],
             ],
         ],
     },
@@ -149,13 +167,17 @@ GOLDEN = {
     "lift --input {flag4_24}":
         (0, "9843a199db8c6f66eb34c4f907d519c8005733d962d690e75d4de0caa719c74b"),
     "lift --input {flag4_24_bad}":
-        (1, "e7e4fcfe04b5bdeb6283235fabb54cba175fcaf99f87732e47291f51ed3189c8"),
+        (1, "3197e94addc12fa6093fd61f548e8f2988c8a7d47fd722e082dfb89a779b03d2"),
     "check-geometry --input {flag4_24_bad}":
         (1, "cbc324be47eb08fbf5b2aab16c2ba576c44c123e5bac5ecb4f66a1652044b4d7"),
     "lift --input {flag_23_incompatible}":
-        (1, "e5a5e526e467be24d7190f047078e4934d584dab2c62e3e76009a14105ed059e"),
+        (1, "3197e94addc12fa6093fd61f548e8f2988c8a7d47fd722e082dfb89a779b03d2"),
     "check-geometry --input {flag_23_incompatible}":
         (1, "0614cd3bb21245246d31803c9534d48d55446ae1564caeb7a36f280eccdebba6"),
+    "lift --input {flag4_14_coordinate}":
+        (0, "e769cfca542dad9d3b3e756793ecbb2e0e6d02640049079351ea71af511da810"),
+    "check-geometry --input {flag4_14_coordinate}":
+        (0, "2984a9e52bb744ec622d973bde6344dbc58ad8489e993633c678ab9664594f90"),
     "check-geometry --input {flag_13}":
         (0, "07f9693de52a46481cf6c029ef7fcea08100a336af6336e3ed352d0a11d88813"),
     "abl-verify --n 2 --lambda 1,1 --trials 5 --seed 7 --threads 1":
@@ -187,3 +209,12 @@ def test_stdout_digest(command, tmp_path, capsys):
     rc = run(argv)
     out = capsys.readouterr().out
     assert (rc, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[command]
+
+
+@pytest.mark.parametrize("name", ["flag4_24_bad", "flag_23_incompatible"])
+def test_nonmember_lift_error_text(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(FLAGS[name]))
+    assert run(["lift", "--input", str(path)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"command": "lift", "error": "incompatible constraints at (2,2)"}
