@@ -18,7 +18,7 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from . import bundles, charring, fixedpoints, geometry, polytope
-from .rootsys import TypeA, TypeC, check_d, index_pairs
+from .rootsys import TypeA, TypeC, check_d
 
 SOFT_LIMIT = 4
 # Row entries of a flag-point file: an optionally signed integer, or p/q.
@@ -171,23 +171,20 @@ def cmd_polytope(args) -> int:
 def _fixed_points_text(n: int) -> Iterator[str]:
     """The `fixed-points` document as indented JSON, one chunk per collection.
 
-    The text of a component is built once per distinct ((i,j), S_{i,j}), and a
-    collection is the join of its components' text in sorted-key order.
+    The tower walk builds the text of a component once per tower branch and
+    carries it down; a collection is the join of its components' text.
     """
 
-    @functools.cache
     def component(key: tuple[int, int], s: frozenset[int]) -> str:
         values = json.dumps(sorted(s), indent=2).replace("\n", "\n      ")
         return f'      "{key[0]},{key[1]}": {values}'
 
-    keys = sorted(index_pairs(TypeC(n)))
     count = 2 ** (n * n)
     yield (f'{{\n  "command": "fixed-points",\n  "n": {n},\n'
            f'  "count": {count},\n  "collections": [')
     written = 0
-    for coll in fixedpoints.iter_fixed_points(n):
-        text = ",\n".join([component(k, coll[k]) for k in keys])
-        yield (",\n" if written else "\n") + "    {\n" + text + "\n    }"
+    for parts in fixedpoints.iter_fixed_points(n, component):
+        yield (",\n" if written else "\n") + "    {\n" + ",\n".join(parts) + "\n    }"
         written += 1
     if written != count:
         raise RuntimeError(f"the tower walk gave {written} collections, not {count}")
@@ -197,7 +194,7 @@ def _fixed_points_text(n: int) -> Iterator[str]:
 def cmd_fixed_points(args) -> int:
     _soft_limit(args.n, args.force, "fixed-point enumeration")
     if args.count:
-        count = sum(1 for _ in fixedpoints.iter_fixed_points(args.n))
+        count = sum(1 for _ in fixedpoints.iter_fixed_points(args.n, lambda key, s: None))
         _emit(_JSON.iterencode(count), args.output)
     else:
         _emit(_fixed_points_text(args.n), args.output)

@@ -14,9 +14,10 @@ collection on its own, the reference the tests compare the tower against.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from functools import cache
+from typing import Any
 
 from .charring import Exponent, LaurentPoly, RationalPoint, _divide_by_binomial, evaluate_monomial
 from .geometry import ResolutionPoint, Subspace
@@ -53,23 +54,43 @@ def _pool(coll: Collection, i: int, j: int, n: int) -> list[int]:
     return sorted(pool)
 
 
-def iter_fixed_points(n: int) -> Iterator[Collection]:
-    """Yield each admissible collection in tower order by walking the table of
-    `_tower(n)`, so the candidate rule runs once per edge, not per node."""
-    steps = _tower(n)
-    coll: Collection = {}
+def iter_fixed_points(
+    n: int, label: Callable[[Pair, frozenset[int]], Any] | None = None
+) -> Iterator[Collection | list]:
+    """Yield each admissible collection in tower order.
 
-    def walk(pos: int, state: State) -> Iterator[Collection]:
-        if pos == len(steps):
-            yield dict(coll)
-            return
-        i, j, edges = steps[pos]
-        branches, _ = edges[state]
-        for here, after in branches:
-            coll[(i, j)] = here
-            yield from walk(pos + 1, after)
-
-    return walk(0, ())
+    The table of `_tower(n)` is read once, so the candidate rule runs once
+    per edge, not per node, into a tree of labelled branches that an explicit
+    stack walks.  With `label`, `label((i,j), S_{i,j})` is called once per tower branch and
+    each collection is yielded as one list of labels in sorted-key order,
+    rewritten in place for the next collection.  Without it, each collection
+    is a fresh dict from (i,j) to S_{i,j}.
+    """
+    keys = sorted(index_pairs(TypeC(n)))
+    slots = {key: pos for pos, key in enumerate(keys)}
+    mark = label or (lambda key, s: s)
+    # Each branch becomes (slot, label, the branches below it), last step
+    # first; siblings are stored reversed so the stack pops them in order.
+    below: dict[State, tuple | None] = {(): None}
+    for i, j, edges in reversed(_tower(n)):
+        slot = slots[(i, j)]
+        below = {
+            state: tuple(
+                (slot, mark((i, j), here), below[after]) for here, after in reversed(branches)
+            )
+            for state, (branches, _) in edges.items()
+        }
+    parts: list = [None] * len(keys)
+    stack = list(below[()])
+    while stack:
+        slot, part, children = stack.pop()
+        parts[slot] = part
+        if children:
+            stack.extend(children)
+        elif label:
+            yield parts
+        else:
+            yield dict(zip(keys, parts))
 
 
 def enumerate_fixed_points(n: int) -> list[Collection]:
@@ -218,9 +239,13 @@ def abl_character(m_vec: tuple[int, ...], n: int) -> LaurentPoly:
     return LaurentPoly(n, values[()])
 
 
-def _sum_defined_at(pt: RationalPoint, n: int) -> bool:
-    """True iff no factor 1 - e^Delta of the localization sum vanishes at pt."""
-    deltas = {delta for *_, edges in _tower(n) for _, delta in edges.values()}
+def _tower_deltas(n: int) -> set[Exponent]:
+    """Every Delta of the tower: the exponents of the localization denominators."""
+    return {delta for *_, edges in _tower(n) for _, delta in edges.values()}
+
+
+def _sum_defined_at(pt: RationalPoint, deltas: set[Exponent]) -> bool:
+    """True iff no factor 1 - e^Delta, Delta in `deltas`, vanishes at pt."""
     return all(evaluate_monomial(pt, delta) != 1 for delta in deltas)
 
 
@@ -256,6 +281,7 @@ def abl_verify(m_vec: tuple[int, ...], n: int, trials: int, seed: int) -> dict:
     gc = graded_character(tuple(m_vec), TypeC(n))
     abl = abl_character(tuple(m_vec), n)
     convention = "direct" if abl == gc else "inverted" if abl == gc.invert_variables() else None
+    deltas = _tower_deltas(n)
     points: list[RationalPoint] = []
     attempts = 0
     while len(points) < trials:
@@ -263,7 +289,7 @@ def abl_verify(m_vec: tuple[int, ...], n: int, trials: int, seed: int) -> dict:
         if attempts > 50 * trials + 50:
             raise DenominatorZeroError("could not sample points avoiding denominator zeros")
         pt = sample_point(n, rng)
-        if _sum_defined_at(pt, n):
+        if _sum_defined_at(pt, deltas):
             points.append(pt)
     rows = []
     for pt in points:

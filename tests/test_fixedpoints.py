@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction as Q
-from itertools import zip_longest
+from itertools import islice, zip_longest
 
 import pytest
 
@@ -64,6 +64,42 @@ def test_iter_fixed_points_equals_the_walk_at_each_node(n):
         assert got == want
         count += 1
     assert count == 2 ** (n * n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_labelled_walk_lists_the_components_in_sorted_key_order(n):
+    keys = sorted(index_pairs(TypeC(n)))
+    labelled = fixedpoints.iter_fixed_points(n, lambda key, s: s)
+    count = 0
+    for parts, coll in zip_longest(labelled, fixedpoints.iter_fixed_points(n)):
+        assert parts == [coll[k] for k in keys]
+        count += 1
+    assert count == 2 ** (n * n)
+
+
+def test_iter_fixed_points_n5_prefix_equals_the_walk_at_each_node():
+    # 25 levels on the explicit stack; the first 4,096 collections share
+    # their first 13 components and cover every choice below them.
+    got = islice(fixedpoints.iter_fixed_points(5), 4096)
+    want = islice(_walk_each_node(5), 4096)
+    count = 0
+    for a, b in zip_longest(got, want):
+        assert a == b
+        count += 1
+    assert count == 4096
+
+
+@pytest.mark.parametrize("n,edges", [(1, 1), (2, 9), (3, 74), (4, 697)])
+def test_label_runs_once_per_tower_branch(n, edges):
+    calls = 0
+
+    def label(key, s):
+        nonlocal calls
+        calls += 1
+        return key, s
+
+    assert sum(1 for _ in fixedpoints.iter_fixed_points(n, label)) == 2 ** (n * n)
+    assert calls == 2 * edges
 
 
 @pytest.mark.parametrize("n,edges", [(1, 1), (2, 9), (3, 74), (4, 697)])
@@ -267,7 +303,7 @@ def test_abl_evaluate_equals_brute_force_sum(n):
     points = [sample_point(n, rng) for _ in range(6)]
     screened = []
     for pt in points:
-        defined = fixedpoints._sum_defined_at(pt, n)
+        defined = fixedpoints._sum_defined_at(pt, fixedpoints._tower_deltas(n))
         screened.append(not defined)
         for m_vec in weights:
             for inverted in (False, True):
