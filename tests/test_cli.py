@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 import spflag
+from spflag import cli
 from spflag.cli import run
 from spflag.fixedpoints import enumerate_fixed_points
 
@@ -250,6 +251,16 @@ def test_fixed_points_stream_equals_the_encoded_document(n, tmp_path, capture):
     assert capture(["fixed-points", "--n", str(n)]) == (0, expected + "\n")
     assert capture(["fixed-points", "--n", str(n), "--output", str(target)]) == (0, "")
     assert target.read_bytes() == expected.encode()
+
+
+def test_fixed_points_n4_chunks_are_small_objects():
+    # Each chunk between the document's head and tail is at most 512 bytes,
+    # the largest object Python's small-object allocator serves, and the
+    # closing half of a collection is the same object while it is unchanged.
+    chunks = list(cli._fixed_points_text(4))[1:-1]
+    assert len(chunks) == 2 * 2**16
+    assert max(map(sys.getsizeof, chunks)) <= 512
+    assert len({id(c) for c in chunks[1::2]}) == 2**16 // 8
 
 
 @pytest.mark.parametrize("count", [False, True], ids=["output", "count"])
