@@ -60,16 +60,6 @@ def rref(rows) -> Matrix:
     return tuple(out)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a
-    )
-
-
-def mat_transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
-
-
 def pivot_columns(red: Matrix) -> tuple[int, ...]:
     """Column of the leading entry of each row of a matrix in RREF."""
     return tuple(next(c for c, x in enumerate(row) if x != 0) for row in red)
@@ -176,7 +166,7 @@ class Subspace:
         return Subspace.kernel(self.annihilator() + other.annihilator(), self.ambient)
 
 
-def _zeroed(v, kill: set[int]) -> Vector:
+def _zeroed(v, kill) -> Vector:
     return tuple(Q(0) if (c + 1) in kill else x for c, x in enumerate(v))
 
 
@@ -186,41 +176,51 @@ def project_away(u: Subspace, coords) -> Subspace:
     return Subspace.span([_zeroed(row, kill) for row in u.rows], u.ambient)
 
 
+def _contains_projection(big: Subspace, small: Subspace, kill) -> bool:
+    """Whether big contains the image of small under the projection zeroing
+    the 1-indexed coordinates `kill`: each row of small, zeroed, lies in big."""
+    return all(big.contains_vector(_zeroed(row, kill)) for row in small.rows)
+
+
 # ---------------------------------------------------------------------------
 # symplectic structure
+#
+# A form pairs w_l only with w_{2n+1-l}, so it is stored as its anti-diagonal
+# c: <w_l, w_{2n+1-l}> = c_l (1-indexed; c_l is c[l-1]).
 
 
-def symplectic_form(n: int) -> tuple[tuple[int, ...], ...]:
+def symplectic_form(n: int) -> tuple[int, ...]:
     """J with <w_i, w_{2n+1-i}> = 1 for i <= n and -1 for i > n."""
-    m = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(1, 2 * n + 1):
-        m[i - 1][2 * n - i] = 1 if i <= n else -1
-    return tuple(tuple(row) for row in m)
+    return (1,) * n + (-1,) * n
 
 
-def form_value(u, v, j_mat) -> Q:
-    total = Q(0)
-    for a, row in zip(u, j_mat):
-        if a:
-            total += a * sum(x * y for x, y in zip(row, v))
-    return total
+def _pairing(v, c) -> Vector:
+    """The linear form <v, .> of the form c: c ⊙ v reversed."""
+    return tuple(a * x for a, x in zip(c, v))[::-1]
 
 
-def is_isotropic(u: Subspace, n: int, j_mat=None) -> bool:
-    j_mat = j_mat if j_mat is not None else symplectic_form(n)
+def _projected_form(c, kill) -> tuple:
+    """The form (x, y) -> <Px, Py> for the projection P zeroing the 1-indexed
+    coordinates `kill`: c with c_l zeroed wherever l or 2n+1-l is in kill."""
+    size = len(c)
+    return tuple(0 if l in kill or size + 1 - l in kill else x for l, x in enumerate(c, 1))
+
+
+def form_value(u, v, c) -> Q:
+    return sum((f * x for f, x in zip(_pairing(u, c), v)), Q(0))
+
+
+def is_isotropic(u: Subspace, n: int, c=None) -> bool:
+    c = c if c is not None else symplectic_form(n)
     rows = u.rows
-    for a in range(len(rows)):
-        for b in range(a + 1, len(rows)):
-            if form_value(rows[a], rows[b], j_mat) != 0:
-                return False
-    return True
+    return all(form_value(rows[a], b, c) == 0 for a in range(len(rows)) for b in rows[a + 1:])
 
 
-def perp(u: Subspace, n: int, j_mat=None) -> Subspace:
-    """J-orthogonal complement, of dimension 2n - dim u: the kernel of the
-    forms row·J."""
-    j_mat = j_mat if j_mat is not None else symplectic_form(n)
-    return Subspace.kernel(mat_mul(u.rows, j_mat), 2 * n)
+def perp(u: Subspace, n: int, c=None) -> Subspace:
+    """Orthogonal complement for the form c (default J), of dimension
+    2n - dim u when c is nondegenerate: the kernel of the forms <row, .>."""
+    c = c if c is not None else symplectic_form(n)
+    return Subspace.kernel([_pairing(row, c) for row in u.rows], 2 * n)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +256,7 @@ def in_sp_flag_a(flag: FlagPoint, n: int) -> bool:
             return False
     for l in range(len(flag.d) - 1):
         lo, hi = flag.d[l], flag.d[l + 1]
-        proj = project_away(flag.spaces[l], range(lo + 1, hi + 1))
-        if not flag.spaces[l + 1].contains(proj):
+        if not _contains_projection(flag.spaces[l + 1], flag.spaces[l], range(lo + 1, hi + 1)):
             return False
     return True
 
@@ -287,9 +286,7 @@ def in_resolution(p: ResolutionPoint, d: tuple[int, ...], n: int) -> bool:
         v = p.spaces[(i, j)]
         if (i + 1, j) in pairs and not p.spaces[(i + 1, j)].contains(v):
             return False
-        if (i, j + 1) in pairs and not p.spaces[(i, j + 1)].contains(
-            project_away(v, [j + 1])
-        ):
+        if (i, j + 1) in pairs and not _contains_projection(p.spaces[(i, j + 1)], v, {j + 1}):
             return False
         if i + j == 2 * n and not is_isotropic(v, n):
             return False
@@ -330,21 +327,18 @@ def in_open_cell(p: ResolutionPoint) -> bool:
 # lift
 
 
-def _extend_choice(lower: Subspace, bound, i: int, j: int, n: int) -> Subspace:
+def _extend_choice(lower: Subspace, bound, form, i: int, j: int, n: int) -> Subspace:
     """Grow `lower` to dimension i inside the upper bound of `lift`, taking
     among valid one-vector extensions the candidate with lexicographically
     minimal RREF, for determinism.  Only here is the bound a kernel of forms:
     w_{i+1}^*..w_j^*, ann(V) with the coordinates `kill` zeroed for each
-    (V, kill) in `bound`, and the pairings (Pc)·J·P."""
+    (V, kill) in `bound`, and the pairings <c, .> under `form` = J_M for each
+    row c of the current space, which keep it isotropic under J_M."""
     forms = _unit_vectors(range(i + 1, j + 1), 2 * n)
     forms += [_zeroed(f, kill) for v, kill in bound for f in v.annihilator()]
-    middle = set(range(j + 1, 2 * n - i + 1))
-    j_mat = symplectic_form(n)
     current = lower
     while current.dim < i:
-        # Px pairs to zero with Pc iff the form (Pc)·J·P vanishes on x.
-        projected = tuple(_zeroed(c, middle) for c in current.rows)
-        pairing = [_zeroed(f, middle) for f in mat_mul(projected, j_mat)]
+        pairing = [_pairing(c, form) for c in current.rows]
         feasible = Subspace.kernel(forms + pairing, 2 * n)
         candidates = []
         for x in feasible.rows:
@@ -362,11 +356,13 @@ def lift(flag: FlagPoint, n: int) -> ResolutionPoint:
     Components are fixed in reversed `index_pairs` order (j increasing, i
     decreasing inside a column), skipping pairs outside P_d.  The lower bound
     of (i, j) is pr_j V_{k,j-1} for the largest k <= i with (k, j-1) in P_d,
-    plus the anchor V_{d_l} at (d_l, d_l).  The upper bound is W_{i,j}, the
-    isotropy of P·V for the projection P zeroing j+1..2n-i, and V_{i+1,j};
-    at the foot of a column, where V_{i+1,j} does not exist, it is instead
-    the preimage {x : pr_{j+1..d_l} x in V_{d_l}} of each anchor with d_l > j.
-    If the lower bound has dimension at most i and lies in the upper bound,
+    plus the anchor V_{d_l} at (d_l, d_l).  The upper bound is W_{i,j},
+    isotropy under J_M, and V_{i+1,j}.  J_M is J with c_l zeroed wherever l
+    or 2n+1-l lies in M = {j+1..2n-i}, so V is J_M-isotropic exactly when P·V
+    is J-isotropic for the projection P zeroing M.  At the foot of a column,
+    where V_{i+1,j} does not exist, the last bound is instead the preimage
+    {x : pr_{j+1..d_l} x in V_{d_l}} of each anchor with d_l > j.  If the
+    lower bound has dimension at most i and lies in the upper bound,
     `_extend_choice` grows it to dimension i; otherwise LiftError reports
     incompatible constraints at (i,j).  On every coordinate flag at n <= 3,
     and on every coordinate member at n = 4, this raises exactly when
@@ -374,6 +370,7 @@ def lift(flag: FlagPoint, n: int) -> ResolutionPoint:
     """
     d = tuple(flag.d)
     pairs = radical_pairs(d, n)
+    j_form = symplectic_form(n)
     anchors = dict(zip(d, flag.spaces))
     for dl, v in anchors.items():
         if v.dim != dl:
@@ -391,14 +388,15 @@ def lift(flag: FlagPoint, n: int) -> ResolutionPoint:
             bound = [(above, set())]
         else:
             bound = [(v, set(range(j + 1, dl + 1))) for dl, v in anchors.items() if dl > j]
+        form = _projected_form(j_form, range(j + 1, 2 * n - i + 1))
         if not (
             lower.dim <= i
             and _in_w(lower, i, j)
-            and all(v.contains_vector(_zeroed(r, kill)) for v, kill in bound for r in lower.rows)
-            and is_isotropic(project_away(lower, range(j + 1, 2 * n - i + 1)), n)
+            and all(_contains_projection(v, lower, kill) for v, kill in bound)
+            and is_isotropic(lower, n, form)
         ):
             raise LiftError(f"incompatible constraints at ({i},{j})")
-        spaces[(i, j)] = _extend_choice(lower, bound, i, j, n) if lower.dim < i else lower
+        spaces[(i, j)] = _extend_choice(lower, bound, form, i, j, n) if lower.dim < i else lower
     point = ResolutionPoint(n, d, spaces)
     if not in_resolution(point, d, n):
         raise LiftError("constructed point fails the resolution conditions")
@@ -423,24 +421,19 @@ def sigma_involution(spaces: list[Subspace]) -> list[Subspace]:
     return [perp(v, n) for v in reversed(spaces)]
 
 
-def flat_family_form(s, n: int, k: int) -> Matrix:
-    """The degenerating form J_s, with anti-diagonal identity blocks."""
+def flat_family_form(s, n: int, k: int) -> tuple[Q, ...]:
+    """The degenerating form J_s, by its anti-diagonal 1..1, s..s, -s..-s, -1..-1
+    (k, n-k, n-k and k entries)."""
+    if not 0 <= k <= n:
+        raise ValueError(f"k must lie in 0..{n}, got {k}")
     s = Q(s)
-    m = [[Q(0)] * (2 * n) for _ in range(2 * n)]
-    for i in range(1, 2 * n + 1):
-        if i <= k:
-            m[i - 1][2 * n - i] = Q(1)
-        elif i <= n:
-            m[i - 1][2 * n - i] = s
-        elif i <= 2 * n - k:
-            m[i - 1][2 * n - i] = -s
-        else:
-            m[i - 1][2 * n - i] = Q(-1)
-    return tuple(tuple(row) for row in m)
+    return (Q(1),) * k + (s,) * (n - k) + (-s,) * (n - k) + (Q(-1),) * k
 
 
 def eta_matrix(s, n: int, k: int) -> Matrix:
     """Diagonal one-parameter subgroup scaling the middle 2(n-k) coordinates."""
+    if not 0 <= k <= n:
+        raise ValueError(f"k must lie in 0..{n}, got {k}")
     s = Q(s)
     diag = [Q(1)] * k + [s] * (2 * (n - k)) + [Q(1)] * k
     return tuple(
@@ -532,10 +525,9 @@ def random_subspace(ambient: int, k: int, rng: random.Random) -> Subspace:
 
 def random_isotropic(n: int, k: int, rng: random.Random) -> Subspace:
     """Random k-dimensional J_1-isotropic subspace of Q^{2n}, k <= n."""
-    j_mat = symplectic_form(n)
     current = Subspace.zero(2 * n)
     while current.dim < k:
-        room = perp(current, n, j_mat)
+        room = perp(current, n)
         for _ in range(50):
             v = [Q(0)] * (2 * n)
             for row in room.rows:
@@ -543,7 +535,7 @@ def random_isotropic(n: int, k: int, rng: random.Random) -> Subspace:
                 if c:
                     v = [a + c * b for a, b in zip(v, row)]
             cand = current.sum(Subspace.span([tuple(v)], 2 * n))
-            if cand.dim == current.dim + 1 and is_isotropic(cand, n, j_mat):
+            if cand.dim == current.dim + 1 and is_isotropic(cand, n):
                 current = cand
                 break
         else:

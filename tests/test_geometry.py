@@ -11,11 +11,15 @@ from spflag.geometry import (
     LiftError,
     ResolutionPoint,
     Subspace,
+    _contains_projection,
     _in_w,
+    _pairing,
+    _projected_form,
     _unit_vectors,
     apply_matrix,
     eta_matrix,
     flat_family_form,
+    form_value,
     in_divisor,
     in_open_cell,
     in_resolution,
@@ -25,8 +29,6 @@ from spflag.geometry import (
     isotropy_transport_check,
     j0_isotropic,
     lift,
-    mat_mul,
-    mat_transpose,
     perp,
     plucker_top_nonzero,
     project_away,
@@ -39,7 +41,7 @@ from spflag.geometry import (
     sp_lower_matrix,
     symplectic_form,
 )
-from spflag.rootsys import TypeC, positive_roots, radical_pairs
+from spflag.rootsys import TypeC, index_pairs, positive_roots, radical_pairs
 
 
 def w(ambient, *ls):
@@ -48,6 +50,33 @@ def w(ambient, *ls):
 
 def vec(*xs):
     return tuple(Q(x) for x in xs)
+
+
+def mat_mul(a, b):
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a
+    )
+
+
+def mat_transpose(a):
+    return tuple(zip(*a))
+
+
+def _dense(c):
+    """The 2n x 2n matrix of the form with anti-diagonal c."""
+    size = len(c)
+    return tuple(
+        tuple(c[r] if r + col == size - 1 else 0 for col in range(size)) for r in range(size)
+    )
+
+
+def _dense_form_value(u, v, j_mat):
+    """<u, v> = u·J·v on the dense matrix: the reference for form_value."""
+    total = Q(0)
+    for a, row in zip(u, j_mat):
+        if a:
+            total += a * sum(x * y for x, y in zip(row, v))
+    return total
 
 
 # --- linear algebra kernel ---------------------------------------------------
@@ -93,21 +122,79 @@ def test_projection():
 
 
 def test_symplectic_form_n1():
-    assert symplectic_form(1) == ((0, 1), (-1, 0))
+    assert _dense(symplectic_form(1)) == ((0, 1), (-1, 0))
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_symplectic_form_antisymmetric(n):
-    j = symplectic_form(n)
+    j = _dense(symplectic_form(n))
     t = mat_transpose(j)
     assert all(t[a][b] == -j[a][b] for a in range(2 * n) for b in range(2 * n))
 
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_symplectic_form_unimodular(n):
-    j = symplectic_form(n)
+    j = _dense(symplectic_form(n))
     minus_one = tuple(tuple(-1 if r == c else 0 for c in range(2 * n)) for r in range(2 * n))
     assert mat_mul(j, j) == minus_one
+
+
+def _random_vector(size, rng):
+    return tuple(Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(size))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_anti_diagonal_forms_match_the_dense_matrix(n):
+    # form_value, _pairing and perp against u·J·v on the dense matrix, for J
+    # and for J_s at s = 0, 1/2, 3 and every k.
+    rng = random.Random(60 + n)
+    forms = [symplectic_form(n)] + [
+        flat_family_form(s, n, k) for s in (0, Q(1, 2), 3) for k in range(n + 1)
+    ]
+    for c in forms:
+        j_mat = _dense(c)
+        for _ in range(4):
+            u, v = _random_vector(2 * n, rng), _random_vector(2 * n, rng)
+            assert form_value(u, v, c) == _dense_form_value(u, v, j_mat)
+            assert _pairing(u, c) == mat_mul((u,), j_mat)[0]
+            space = random_subspace(2 * n, rng.randint(0, 2 * n), rng)
+            assert perp(space, n, c) == Subspace.kernel(mat_mul(space.rows, j_mat), 2 * n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_projected_form_isotropy_is_isotropy_after_projection(n):
+    # For every (i, j): u is J_M-isotropic iff P·u is J-isotropic, P zeroing
+    # M = {j+1..2n-i}.
+    rng = random.Random(80 + n)
+    seen = set()
+    for i, j in index_pairs(TypeC(n)):
+        middle = range(j + 1, 2 * n - i + 1)
+        form = _projected_form(symplectic_form(n), middle)
+        spaces = [random_subspace(2 * n, rng.randint(1, 2 * n), rng) for _ in range(4)]
+        spaces += [w(2 * n, *rng.sample(range(1, 2 * n + 1), 2)) for _ in range(4)]
+        for u in spaces:
+            direct = is_isotropic(project_away(u, middle), n)
+            assert is_isotropic(u, n, form) == direct, (i, j, u.rows)
+            seen.add(direct)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_contains_projection_is_containment_of_the_projection(n):
+    rng = random.Random(90 + n)
+    seen = set()
+    for _ in range(30):
+        kill = set(rng.sample(range(1, 2 * n + 1), rng.randint(0, 2 * n)))
+        small = random_subspace(2 * n, rng.randint(0, 2 * n), rng)
+        big = rng.choice([
+            random_subspace(2 * n, rng.randint(0, 2 * n), rng),
+            project_away(small, kill).sum(random_subspace(2 * n, rng.randint(0, 1), rng)),
+            w(2 * n, *(l for l in range(1, 2 * n + 1) if l not in kill)),
+        ])
+        direct = big.contains(project_away(small, kill))
+        assert _contains_projection(big, small, kill) == direct
+        seen.add(direct)
+    assert seen == {True, False}
 
 
 def test_isotropy_basics():
@@ -353,6 +440,22 @@ def test_in_w_and_contains_is_the_kernel_of_forms(n):
     assert seen == {True, False}
 
 
+def test_in_resolution_makes_no_rref_call(monkeypatch):
+    rng = random.Random(13)
+    points = [lift(random_sp_flag(d, n, rng), n) for n in (2, 3) for d in all_d(n)]
+    calls = []
+    rref = geometry.rref
+
+    def counted_rref(rows):
+        calls.append(1)
+        return rref(rows)
+
+    monkeypatch.setattr(geometry, "rref", counted_rref)
+    for point in points:
+        assert in_resolution(point, point.d, point.n)
+    assert calls == []
+
+
 def test_lift_calls_kernel_only_to_choose(monkeypatch):
     # Each call to Subspace.kernel records whether _extend_choice is running.
     calls, choosing = [], []
@@ -457,8 +560,8 @@ def test_sigma_fixed_points_truncate_to_symplectic():
 
 def test_j1_is_standard_form():
     for n, k in ((1, 1), (2, 1), (2, 2), (3, 2)):
-        std = tuple(tuple(Q(x) for x in row) for row in symplectic_form(n))
-        assert flat_family_form(1, n, k) == std
+        std = tuple(tuple(Q(x) for x in row) for row in _dense(symplectic_form(n)))
+        assert _dense(flat_family_form(1, n, k)) == std
 
 
 def test_eta_conjugation_identity():
@@ -468,8 +571,16 @@ def test_eta_conjugation_identity():
         k = rng.randint(1, n)
         s = Q(rng.randint(1, 9), rng.randint(1, 9))
         eta = eta_matrix(s, n, k)
-        lhs = mat_mul(mat_transpose(eta), mat_mul(flat_family_form(1, n, k), eta))
-        assert lhs == flat_family_form(s * s, n, k)
+        lhs = mat_mul(mat_transpose(eta), mat_mul(_dense(flat_family_form(1, n, k)), eta))
+        assert lhs == _dense(flat_family_form(s * s, n, k))
+
+
+@pytest.mark.parametrize("n,k", [(1, 2), (2, -1), (3, 4)])
+def test_flat_family_rejects_k_outside_0_to_n(n, k):
+    with pytest.raises(ValueError):
+        flat_family_form(1, n, k)
+    with pytest.raises(ValueError):
+        eta_matrix(1, n, k)
 
 
 def test_transport_check_random():

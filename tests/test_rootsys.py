@@ -97,9 +97,17 @@ def test_root_vector_matrix_examples():
     assert root_vector_matrix(Root(1, 2, TypeC(2))) == add(e(3, 1, 4), e(4, 2, 4), 1)
 
 
+def _dense(c):
+    """The 2n x 2n matrix of the form with anti-diagonal c."""
+    size = len(c)
+    return tuple(
+        tuple(c[r] if r + col == size - 1 else 0 for col in range(size)) for r in range(size)
+    )
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_root_vectors_in_sp(n):
-    j = symplectic_form(n)
+    j = _dense(symplectic_form(n))
     for r in positive_roots(TypeC(n)):
         f = root_vector_matrix(r)
         # f^T J + J f = 0
