@@ -3,6 +3,12 @@
 Terms are stored sparsely as {(q, z_1, ..., z_k) exponent vector: int} with
 zero coefficients never kept.  The variable convention is z_i = e^{eps_i};
 conversion to the omega-exponent convention happens only at serialization.
+
+The Weyl dimension is the product formula.  The Weyl character comes from
+Freudenthal's recursion over the dominant weights below the highest weight,
+read from the root system and the inner product alone; every division in it
+is exact, and a non-integral or non-positive quotient raises ArithmeticError.
+The exact division by 1 - e^{-alpha} serves the localization push-down.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import prod
 
-from .rootsys import TypeC, positive_roots, root_weight, weight_of
+from .rootsys import TypeC, pairing, positive_roots, root_weight, weight_of
 
 Exponent = tuple[int, ...]  # (q, z_1, ..., z_k)
 
@@ -204,23 +210,6 @@ def _divide_by_binomial(num: dict[tuple[int, ...], int], alpha: tuple[int, ...])
     return quo
 
 
-def _perm_sign(p: tuple[int, ...]) -> int:
-    inv = sum(1 for a in range(len(p)) for b in range(a + 1, len(p)) if p[a] > p[b])
-    return -1 if inv % 2 else 1
-
-
-def _alternant(v: tuple[int, ...], n: int) -> LaurentPoly:
-    """Signed hyperoctahedral orbit sum of z^v.
-
-    v is strictly dominant, so the 2^n n! group elements give distinct exponents.
-    """
-    terms: dict[Exponent, int] = {}
-    for p in permutations(range(n)):
-        for signs in product((1, -1), repeat=n):
-            terms[(0, *(signs[k] * v[p[k]] for k in range(n)))] = _perm_sign(p) * prod(signs)
-    return LaurentPoly(n, terms)
-
-
 def rho(n: int) -> tuple[int, ...]:
     """Half-sum of positive roots of sp_2n in epsilon coordinates: (n,...,1)."""
     return tuple(range(n, 0, -1))
@@ -241,21 +230,69 @@ def weyl_dimension(m_vec: tuple[int, ...], n: int) -> int:
     return int(num)
 
 
+def _dominant_weights_below(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Dominant weights mu <= lam of sp_2n, by increasing height of lam - mu.
+
+    In epsilon coordinates mu is dominant iff it is nonincreasing and >= 0, and
+    lam - mu is a sum of simple roots iff its partial sums s_1..s_n are >= 0
+    and s_n is even; its height is s_1 + ... + s_{n-1} + s_n / 2.
+    """
+    found: list[tuple[int, tuple[int, ...]]] = []
+    stack = [((), lam[0], 0, 0)]  # (prefix of mu, cap on the next entry, s_k, s_1 + .. + s_k)
+    while stack:
+        mu, cap, s, h = stack.pop()
+        k = len(mu)
+        if k == len(lam):
+            if s % 2 == 0:
+                found.append((h - s + s // 2, mu))
+            continue
+        for x in range(min(cap, s + lam[k]) + 1):
+            stack.append(((*mu, x), x, s + lam[k] - x, h + s + lam[k] - x))
+    return [mu for _, mu in sorted(found)]
+
+
 def weyl_character(m_vec: tuple[int, ...], n: int) -> LaurentPoly:
     """Character of the sp_2n module as a q-free Laurent polynomial.
 
-    Alternating sum over the hyperoctahedral group divided exactly by the
-    Weyl denominator in its factored form e^rho prod_{alpha>0} (1 - e^{-alpha}):
-    the alternant of lambda + rho is shifted by -rho, then divided by each
-    binomial in turn, over z alone; the q-exponent 0 is put back at the end.
+    Freudenthal's formula gives the multiplicity of each dominant weight mu of
+    V(lambda) from those of the dominant weights above it:
+        m(mu) (|lambda+rho|^2 - |mu+rho|^2)
+            = 2 sum_{alpha>0} sum_{k>=1} m(mu + k alpha) (mu + k alpha, alpha),
+    with m(lambda) = 1.  Multiplicities are Weyl-invariant, so each m(mu + k
+    alpha) is read at the dominant representative (the absolute values sorted
+    down), and each alpha-string, being unbroken, stops at its first zero.  The
+    division must be exact with a positive quotient; otherwise this raises
+    ArithmeticError.  Each dominant weight's multiplicity is then spread over
+    its signed-permutation orbit, with q-exponent 0.
     """
+    if any(m < 0 for m in m_vec):
+        raise ValueError(f"highest weight {m_vec} is not dominant")
     lam = weight_of(tuple(m_vec), TypeC(n))
     r = rho(n)
-    top = _alternant(tuple(l + rr for l, rr in zip(lam, r)), n)
-    quo = {tuple(x - s for x, s in zip(e[1:], r)): c for e, c in top.terms.items()}
-    for root in positive_roots(TypeC(n)):
-        quo = _divide_by_binomial(quo, root_weight(root))
-    return LaurentPoly(n, {(0, *e): c for e, c in quo.items()})
+    alphas = [root_weight(root) for root in positive_roots(TypeC(n))]
+
+    def norm_rho(mu: tuple[int, ...]) -> int:
+        return sum((x + y) ** 2 for x, y in zip(mu, r))
+
+    top = norm_rho(lam)
+    mult = {lam: 1}
+    for mu in _dominant_weights_below(lam)[1:]:  # lam itself comes first
+        total = 0
+        for alpha in alphas:
+            v = tuple(x + a for x, a in zip(mu, alpha))
+            while m := mult.get(tuple(sorted(map(abs, v), reverse=True)), 0):
+                total += m * pairing(v, alpha)
+                v = tuple(x + a for x, a in zip(v, alpha))
+        m, rest = divmod(2 * total, top - norm_rho(mu))
+        if rest or m <= 0:
+            raise ArithmeticError(f"Freudenthal quotient at {mu} is not a positive integer")
+        mult[mu] = m
+    terms: dict[Exponent, int] = {}
+    for mu, m in mult.items():
+        for p in set(permutations(mu)):
+            for v in product(*((x, -x) if x else (0,) for x in p)):
+                terms[(0, *v)] = m
+    return LaurentPoly(n, terms)
 
 
 def eps_to_omega(exps: tuple[int, ...]) -> tuple[int, ...]:

@@ -131,7 +131,7 @@ def cmd_qchar(args) -> int:
 
 
 def cmd_weyl(args) -> int:
-    _soft_limit(args.n, args.force, "the Weyl group sum")
+    _soft_limit(args.n, args.force, "the Weyl character")
     lam = _check_lambda(_parse_ints(args.lam, "lambda"), args.n)
     ch = charring.weyl_character(lam, args.n)
     doc = {

@@ -513,6 +513,9 @@ def random_sl_flag(two_n: int, rng: random.Random) -> list[Subspace]:
 
 
 def random_subspace(ambient: int, k: int, rng: random.Random) -> Subspace:
+    """Random k-dimensional subspace of Q^ambient, 0 <= k <= ambient."""
+    if not 0 <= k <= ambient:
+        raise ValueError(f"no {k}-dimensional subspace of Q^{ambient}")
     while True:
         vecs = [
             tuple(Q(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(ambient))

@@ -1,13 +1,15 @@
 from fractions import Fraction as Q
+from itertools import permutations, product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spflag import charring
 from spflag.charring import (
     LaurentPoly,
     RationalPoint,
-    _alternant,
     _divide_by_binomial,
     eps_to_omega,
     evaluate_monomial,
@@ -55,8 +57,8 @@ def _int_poly_strategy(nvars):
     return st.dictionaries(exps, coeffs, max_size=6)
 
 
-# Besides the positive roots of the Weyl route: negated roots, and (q, z)
-# exponent vectors with a nonzero q-part first, as the localization walk divides.
+# Besides the positive roots: negated roots, and (q, z) exponent vectors with a
+# nonzero q-part first, as the localization walk divides.
 QZ_ALPHAS = [(1, -2), (-1, 2), (1, 0, -2), (-1, 1, 1), (1, -1, 0, -1), (-2, 1, 0, 1)]
 
 
@@ -80,6 +82,23 @@ def test_divide_by_binomial_inexact_raises():
         _divide_by_binomial({(0,): 1, (1,): 1}, (2,))
 
 
+def _perm_sign(p):
+    inv = sum(1 for a in range(len(p)) for b in range(a + 1, len(p)) if p[a] > p[b])
+    return -1 if inv % 2 else 1
+
+
+def _alternant(v, n):
+    """Signed hyperoctahedral orbit sum of z^v: the Weyl formula's numerator.
+
+    v is strictly dominant, so the 2^n n! group elements give distinct exponents.
+    """
+    terms = {}
+    for p in permutations(range(n)):
+        for signs in product((1, -1), repeat=n):
+            terms[(0, *(signs[k] * v[p[k]] for k in range(n)))] = _perm_sign(p) * prod(signs)
+    return LaurentPoly(n, terms)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_weyl_denominator_identity(n):
     den = LaurentPoly.monomial(n, 1, rho(n))
@@ -90,16 +109,20 @@ def test_weyl_denominator_identity(n):
 
 @pytest.mark.parametrize(
     "lam",
-    [
-        (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0),
-        (1, 0, 1), (0, 1, 1), (1, 1, 1), (2, 1, 0),
-        (0, 1, 0, 1),
-    ],
+    [lam for n in (1, 2, 3) for lam in product(range(3), repeat=n)]
+    + list(product(range(2), repeat=4)),
 )
 def test_weyl_character_times_denominator_is_numerator(lam):
+    # The Weyl character formula checks the Freudenthal recursion.  The
+    # denominator is taken in its factored form, which the test above equates
+    # with alternant(rho); one product with the 2^n n!-term alternant would
+    # take twice as long.
     n = len(lam)
     top = tuple(l + r for l, r in zip(weight_of(lam, TypeC(n)), rho(n)))
-    assert weyl_character(lam, n) * _alternant(rho(n), n) == _alternant(top, n)
+    num = weyl_character(lam, n) * LaurentPoly.monomial(n, 1, rho(n))
+    for r in positive_roots(TypeC(n)):
+        num = num * _binomial(root_weight(r))
+    assert num == _alternant(top, n)
 
 
 def test_evaluate():
@@ -173,6 +196,36 @@ def test_character_at_one_is_dimension(n, lam):
     ch = weyl_character(lam, n)
     pt = RationalPoint((Q(1),) * n, Q(1))
     assert ch.evaluate(pt) == weyl_dimension(lam, n)
+
+
+@pytest.mark.parametrize("lam", list(product(range(2), repeat=5)))
+def test_character_at_one_is_dimension_n5(lam):
+    ch = weyl_character(lam, 5)
+    assert ch.evaluate(RationalPoint((Q(1),) * 5, Q(1))) == weyl_dimension(lam, 5)
+
+
+def test_rho_character_n5_is_hyperoctahedral_invariant():
+    ch = weyl_character((1,) * 5, 5)
+    assert sum(ch.terms.values()) == 2**25
+    for a in range(5):
+        assert ch.flip_var(a) == ch
+    for a in range(4):
+        assert ch.swap_vars(a, a + 1) == ch
+
+
+# A wrong rho in place of (2, 1) breaks the identity.  The first quotient is
+# 8/12 for (0,1) and 20/14 for (1,1) with rho = (3, 2), not integral, and
+# 8/-4 for (0,1) with rho = (-2, -1), integral but negative.
+@pytest.mark.parametrize("wrong_rho,lam", [((3, 2), (0, 1)), ((3, 2), (1, 1)), ((-2, -1), (0, 1))])
+def test_weyl_character_refuses_a_bad_freudenthal_quotient(monkeypatch, wrong_rho, lam):
+    monkeypatch.setattr(charring, "rho", lambda n: wrong_rho)
+    with pytest.raises(ArithmeticError):
+        weyl_character(lam, 2)
+
+
+def test_weyl_character_rejects_a_negative_weight():
+    with pytest.raises(ValueError):
+        weyl_character((1, -1), 2)
 
 
 def test_weyl_dimension_values():

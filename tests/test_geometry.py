@@ -112,6 +112,12 @@ def test_sum_intersection():
         assert zero.intersection(whole) == zero and whole.intersection(whole) == whole
 
 
+@pytest.mark.parametrize("k", [-1, 5])
+def test_random_subspace_rejects_an_impossible_dimension(k):
+    with pytest.raises(ValueError):
+        random_subspace(4, k, random.Random(0))
+
+
 def test_projection():
     u = Subspace.span([vec(1, 1, 0, 0)], 4)
     assert project_away(u, [2]) == w(4, 1)
