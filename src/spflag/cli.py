@@ -1,7 +1,9 @@
 """Command-line surface: characters, fixed points, discrepancies, geometry.
 
-Exit codes: 0 success / verified, 1 verification failure, 2 usage error.
-JSON and CSV schemas are documented in docs/formats.md.
+Each `cmd_*` returns its exit code and its output as text chunks; `run`
+alone checks the soft limit on n and writes the chunks, to stdout or to
+`--output`.  Exit codes: 0 success / verified, 1 verification failure,
+2 usage error.  JSON and CSV schemas are documented in docs/formats.md.
 """
 
 from __future__ import annotations
@@ -18,11 +20,13 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from . import bundles, charring, fixedpoints, geometry, polytope
-from .rootsys import TypeA, TypeC, check_d
+from .rootsys import RootSystem, TypeA, TypeC, check_d, rank
 
 SOFT_LIMIT = 4
-# Row entries of a flag-point file: an optionally signed integer, or p/q.
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+# An integer in argv: an optionally signed run of ASCII digits.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+# Row entries of a flag-point file: an integer, or p/q.
+_RATIONAL = re.compile(_INTEGER.pattern + r"(/[0-9]+)?")
 # Every JSON document goes out in this layout; docs/formats.md specifies it.
 _JSON = json.JSONEncoder(indent=2)
 
@@ -31,20 +35,18 @@ class UsageError(Exception):
     pass
 
 
+def _int(text: str) -> int:
+    # int() alone would also read "1_0", " 1" and non-ASCII digits such as "２".
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
-        vals = tuple(int(x) for x in text.split(","))
+        return tuple(map(_int, text.split(",")))
     except ValueError:
         raise UsageError(f"malformed {what} {text!r}: expected comma-separated integers")
-    return vals
-
-
-def _check_lambda(lam: tuple[int, ...], r: int) -> tuple[int, ...]:
-    if len(lam) != r or any(m < 0 for m in lam):
-        raise UsageError(
-            f"lambda must be {r} nonnegative integers m_1,...,m_{r}, got {lam}"
-        )
-    return lam
 
 
 def _valid_d(d: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -55,22 +57,21 @@ def _valid_d(d: tuple[int, ...], n: int) -> tuple[int, ...]:
     return d
 
 
+def _integer(text: str) -> int:
+    try:
+        return _int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+
+
 def _positive_int(text: str) -> int:
     try:
-        value = int(text)
+        value = _int(text)
     except ValueError:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
-
-
-def _soft_limit(n: int, force: bool, what: str) -> None:
-    if n > SOFT_LIMIT and not force:
-        raise UsageError(
-            f"n = {n} exceeds the soft limit {SOFT_LIMIT} for {what}; "
-            f"rerun with --force to proceed anyway"
-        )
 
 
 def _emit(chunks: Iterable[str], output: str | None) -> None:
@@ -94,30 +95,36 @@ def _emit(chunks: Iterable[str], output: str | None) -> None:
         sys.stdout.write("\n")
 
 
-def _system(args):
+def _weight(args) -> tuple[RootSystem, tuple[int, ...]]:
+    """The root system of `--n` and `--system` (C where the command has no
+    `--system`), and its weight `--lambda`."""
     if getattr(args, "system", "C") == "A":
         if args.n < 2:
             raise UsageError(f"--system A needs n >= 2, got {args.n}")
-        return TypeA(args.n), args.n - 1
-    return TypeC(args.n), args.n
+        system = TypeA(args.n)
+    else:
+        system = TypeC(args.n)
+    lam, r = _parse_ints(args.lam, "lambda"), rank(system)
+    if len(lam) != r or any(m < 0 for m in lam):
+        raise UsageError(
+            f"lambda must be {r} nonnegative integers m_1,...,m_{r}, got {lam}"
+        )
+    return system, lam
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (exit code, output text chunks)
+
+Output = tuple[int, Iterable[str]]
 
 
-def cmd_dim(args) -> int:
-    system, r = _system(args)
-    _soft_limit(args.n, args.force, "lattice enumeration")
-    lam = _check_lambda(_parse_ints(args.lam, "lambda"), r)
-    _emit(_JSON.iterencode(polytope.dimension(lam, system)), args.output)
-    return 0
+def cmd_dim(args) -> Output:
+    system, lam = _weight(args)
+    return 0, _JSON.iterencode(polytope.dimension(lam, system))
 
 
-def cmd_qchar(args) -> int:
-    system, r = _system(args)
-    _soft_limit(args.n, args.force, "lattice enumeration")
-    lam = _check_lambda(_parse_ints(args.lam, "lambda"), r)
+def cmd_qchar(args) -> Output:
+    system, lam = _weight(args)
     gc = polytope.graded_character(lam, system)
     doc = {
         "command": "qchar",
@@ -126,13 +133,11 @@ def cmd_qchar(args) -> int:
         "weight_basis": args.weight_basis,
         "terms": charring.to_json_terms(gc, args.weight_basis),
     }
-    _emit(_JSON.iterencode(doc), args.output)
-    return 0
+    return 0, _JSON.iterencode(doc)
 
 
-def cmd_weyl(args) -> int:
-    _soft_limit(args.n, args.force, "the Weyl character")
-    lam = _check_lambda(_parse_ints(args.lam, "lambda"), args.n)
+def cmd_weyl(args) -> Output:
+    _, lam = _weight(args)
     ch = charring.weyl_character(lam, args.n)
     doc = {
         "command": "weyl",
@@ -142,14 +147,11 @@ def cmd_weyl(args) -> int:
         "weight_basis": args.weight_basis,
         "terms": charring.to_json_terms(ch, args.weight_basis),
     }
-    _emit(_JSON.iterencode(doc), args.output)
-    return 0
+    return 0, _JSON.iterencode(doc)
 
 
-def cmd_polytope(args) -> int:
-    system, r = _system(args)
-    _soft_limit(args.n, args.force, "lattice enumeration")
-    lam = _check_lambda(_parse_ints(args.lam, "lambda"), r)
+def cmd_polytope(args) -> Output:
+    system, lam = _weight(args)
     spec = polytope.polytope_spec(lam, system)
     points = polytope.lattice_points(spec)
     doc = {
@@ -164,8 +166,7 @@ def cmd_polytope(args) -> int:
         "points": [list(p) for p in points],
         "count": len(points),
     }
-    _emit(_JSON.iterencode(doc), args.output)
-    return 0
+    return 0, _JSON.iterencode(doc)
 
 
 def _fixed_points_text(n: int) -> Iterator[str]:
@@ -208,52 +209,45 @@ def _fixed_points_text(n: int) -> Iterator[str]:
     yield "\n  ]\n}"
 
 
-def cmd_fixed_points(args) -> int:
-    _soft_limit(args.n, args.force, "fixed-point enumeration")
+def cmd_fixed_points(args) -> Output:
     if args.count:
         count = sum(1 for _ in fixedpoints.iter_fixed_points(args.n, lambda key, s: None))
-        _emit(_JSON.iterencode(count), args.output)
-    else:
-        _emit(_fixed_points_text(args.n), args.output)
-    return 0
+        return 0, _JSON.iterencode(count)
+    return 0, _fixed_points_text(args.n)
 
 
-def cmd_abl_verify(args) -> int:
-    _soft_limit(args.n, args.force, "localization verification")
-    lam = _check_lambda(_parse_ints(args.lam, "lambda"), args.n)
+def cmd_abl_verify(args) -> Output:
+    _, lam = _weight(args)
     seed = args.seed
     if seed is None:
         text = os.environ.get("SPFLAG_SEED", "0")
         try:
-            seed = int(text)
+            seed = _int(text)
         except ValueError:
             raise UsageError(f"SPFLAG_SEED must be an integer, got {text!r}")
     report = fixedpoints.abl_verify(lam, args.n, args.trials, seed)
-    _emit(_JSON.iterencode(report), args.output)
-    return 0 if report["matched"] else 1
+    return 0 if report["matched"] else 1, _JSON.iterencode(report)
 
 
-def cmd_discrepancy(args) -> int:
-    _soft_limit(args.n, args.force, "discrepancy tables")
+def cmd_discrepancy(args) -> Output:
     d = _valid_d(_parse_ints(args.d, "d"), args.n)
     rows = bundles.discrepancy_table(d, args.n)
     identity_ok, _ = bundles.verify_canonical_identity(d, args.n)
+    code = 0 if identity_ok else 1
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=["i", "j", "b", "exceptional"])
         writer.writeheader()
         writer.writerows(rows)
-        _emit([buf.getvalue()], args.output)
-    else:
-        doc = {
-            "command": "discrepancy",
-            "n": args.n,
-            "d": list(d),
-            "rows": rows,
-            "canonical_identity": identity_ok,
-        }
-        _emit(_JSON.iterencode(doc), args.output)
-    return 0 if identity_ok else 1
+        return code, [buf.getvalue()]
+    doc = {
+        "command": "discrepancy",
+        "n": args.n,
+        "d": list(d),
+        "rows": rows,
+        "canonical_identity": identity_ok,
+    }
+    return code, _JSON.iterencode(doc)
 
 
 def _json_list(value, what: str) -> list:
@@ -314,12 +308,8 @@ def _load_flag(path: str) -> tuple[geometry.FlagPoint, int]:
     return geometry.FlagPoint(d, spaces), n
 
 
-def cmd_check_geometry(args) -> int:
+def cmd_check_geometry(args) -> Output:
     flag, n = _load_flag(args.input)
-    if args.n is not None and args.n != n:
-        raise UsageError(f"--n {args.n} disagrees with input file n = {n}")
-    if args.d is not None and tuple(_parse_ints(args.d, "d")) != flag.d:
-        raise UsageError(f"--d {args.d} disagrees with input file d = {list(flag.d)}")
     member = geometry.in_sp_flag_a(flag, n)
     doc = {
         "command": "check-geometry",
@@ -328,25 +318,22 @@ def cmd_check_geometry(args) -> int:
         "member": member,
         "dims": [v.dim for v in flag.spaces],
     }
-    _emit(_JSON.iterencode(doc), args.output)
-    return 0 if member else 1
+    return 0 if member else 1, _JSON.iterencode(doc)
 
 
-def cmd_lift(args) -> int:
+def cmd_lift(args) -> Output:
     flag, n = _load_flag(args.input)
     try:
         point = geometry.lift(flag, n)
     except geometry.LiftError as exc:
-        _emit(_JSON.iterencode({"command": "lift", "error": str(exc)}), args.output)
-        return 1
+        return 1, _JSON.iterencode({"command": "lift", "error": str(exc)})
     try:
         spaces = {f"{i},{j}": _matrix_to_json(v) for (i, j), v in sorted(point.spaces.items())}
     except ValueError as exc:
         # A lifted entry can outgrow the interpreter's 4300-digit limit on str().
         raise UsageError(f"cannot write the lift of {args.input}: {exc}")
     doc = {"command": "lift", "n": n, "d": list(flag.d), "spaces": spaces}
-    _emit(_JSON.iterencode(doc), args.output)
-    return 0
+    return 0, _JSON.iterencode(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, lam=False, d=False, system=False, threads=False):
+    def common(p, limit, lam=False, d=False, system=False, threads=False):
         p.add_argument("--n", type=_positive_int, required=True, help="rank n (sp_2n)")
         if lam:
             p.add_argument(
@@ -380,52 +367,51 @@ def build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument("--force", action="store_true", help="override soft size limits")
         p.add_argument("--output", help="write output to a file instead of stdout")
+        p.set_defaults(limit=limit)
 
     p = sub.add_parser("dim", help="dimension by lattice-point count")
-    common(p, lam=True, system=True)
+    common(p, "lattice enumeration", lam=True, system=True)
     p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("qchar", help="PBW-graded character as JSON")
-    common(p, lam=True, system=True)
+    common(p, "lattice enumeration", lam=True, system=True)
     p.add_argument("--weight-basis", choices=["eps", "omega"], default="eps")
     p.set_defaults(func=cmd_qchar)
 
     p = sub.add_parser("weyl", help="Weyl character oracle as JSON")
-    common(p, lam=True)
+    common(p, "the Weyl character", lam=True)
     p.add_argument("--weight-basis", choices=["eps", "omega"], default="eps")
     p.set_defaults(func=cmd_weyl)
 
     p = sub.add_parser("polytope", help="dump inequalities and lattice points")
-    common(p, lam=True, system=True)
+    common(p, "lattice enumeration", lam=True, system=True)
     p.set_defaults(func=cmd_polytope)
 
     p = sub.add_parser("fixed-points", help="enumerate admissible collections")
-    common(p, threads=True)
+    common(p, "fixed-point enumeration", threads=True)
     p.add_argument("--count", action="store_true", help="print only the count")
     p.set_defaults(func=cmd_fixed_points)
 
     p = sub.add_parser("abl-verify", help="verify the localization character identity")
-    common(p, lam=True, threads=True)
+    common(p, "localization verification", lam=True, threads=True)
     p.add_argument("--trials", type=_positive_int, default=20)
-    p.add_argument("--seed", type=int, default=None, help="defaults to $SPFLAG_SEED or 0")
+    p.add_argument("--seed", type=_integer, default=None, help="defaults to $SPFLAG_SEED or 0")
     p.set_defaults(func=cmd_abl_verify)
 
     p = sub.add_parser("discrepancy", help="discrepancy coefficients table")
-    common(p, d=True)
+    common(p, "discrepancy tables", d=True)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_discrepancy)
 
     p = sub.add_parser("check-geometry", help="flag membership test from a JSON file")
-    p.add_argument("--n", type=_positive_int, default=None)
-    p.add_argument("--d", default=None)
     p.add_argument("--input", required=True)
     p.add_argument("--output")
-    p.set_defaults(func=cmd_check_geometry)
+    p.set_defaults(func=cmd_check_geometry, limit=None)
 
     p = sub.add_parser("lift", help="lift a flag point to the resolution")
     p.add_argument("--input", required=True)
     p.add_argument("--output")
-    p.set_defaults(func=cmd_lift)
+    p.set_defaults(func=cmd_lift, limit=None)
 
     return top
 
@@ -437,10 +423,17 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        if args.limit and args.n > SOFT_LIMIT and not args.force:
+            raise UsageError(
+                f"n = {args.n} exceeds the soft limit {SOFT_LIMIT} for {args.limit}; "
+                f"rerun with --force to proceed anyway"
+            )
+        code, chunks = args.func(args)
+        _emit(chunks, args.output)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 def main() -> None:

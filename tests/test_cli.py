@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -155,8 +156,21 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
     fails(["fixed-points", "--n", "1", "--threads", "-3"])
     fails(["dim", "--n", "1", "--lambda", "1", "--output", str(tmp_path / "no" / "such")])
 
+    # Every argv integer, and $SPFLAG_SEED, is [+-]?[0-9]+: int() alone would
+    # read "1_0" as 10, accept " 1" and read full-width digits.
+    abl = ["abl-verify", "--n", "1", "--lambda", "1", "--trials", "1"]
+    for bad in ("1_0", "0_1", " 1", "０", "１"):
+        fails(["dim", "--n", "2", "--lambda", f"{bad},0"])
+        fails(["dim", "--n", bad, "--lambda", "1"])
+        fails(["discrepancy", "--n", "2", "--d", bad])
+        fails(["abl-verify", "--n", "1", "--lambda", "1", "--trials", bad])
+        fails(abl + ["--threads", bad])
+        fails(abl + ["--seed", bad])
+        monkeypatch.setenv("SPFLAG_SEED", bad)
+        fails(abl)
+
     monkeypatch.setenv("SPFLAG_SEED", "abc")
-    fails(["abl-verify", "--n", "1", "--lambda", "1", "--trials", "1"])
+    fails(abl)
 
     zero_denominator = {"n": 1, "d": [1], "spaces": [[["1/0", "1"]]]}
     # V_1 is given a 2-dimensional basis.
@@ -277,9 +291,64 @@ def test_fixed_points_n4_memory_stays_small(count, tmp_path, capsys):
     assert rc == 0 and peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
-def test_force_overrides_soft_limit(capture):
-    rc, out = capture(["dim", "--n", "5", "--lambda", "0,0,0,0,0", "--force"])
-    assert rc == 0 and out.strip() == "1"
+OMEGA_1 = ["--lambda", "1,0,0,0,0"]
+# Each command with a soft limit: the rest of its argv at n = 5, and whether
+# it is cheap enough there to run with --force.
+LIMITED = {
+    "dim": (OMEGA_1, True),
+    "qchar": (OMEGA_1, True),
+    "weyl": (OMEGA_1, True),
+    "polytope": (OMEGA_1, True),
+    "discrepancy": (["--d", "1"], True),
+    "fixed-points": (["--count"], False),
+    "abl-verify": (OMEGA_1, False),
+}
+
+
+@pytest.mark.parametrize("command", LIMITED)
+def test_force_overrides_soft_limit(command, capsys):
+    rest, cheap = LIMITED[command]
+    argv = [command, "--n", "5"] + rest
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("error:") == 1 and "--force" in err, err
+    if cheap:
+        assert run(argv + ["--force"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc == 10) if command == "dim" else (doc["n"] == 5)
+
+
+# Every subcommand's options, besides --help.  check-geometry and lift read
+# n and d from their input file only.
+OPTIONS = {
+    "dim": {"--n", "--lambda", "--system", "--force", "--output"},
+    "qchar": {"--n", "--lambda", "--system", "--weight-basis", "--force", "--output"},
+    "weyl": {"--n", "--lambda", "--weight-basis", "--force", "--output"},
+    "polytope": {"--n", "--lambda", "--system", "--force", "--output"},
+    "fixed-points": {"--n", "--threads", "--count", "--force", "--output"},
+    "abl-verify": {"--n", "--lambda", "--threads", "--trials", "--seed", "--force", "--output"},
+    "discrepancy": {"--n", "--d", "--format", "--force", "--output"},
+    "check-geometry": {"--input", "--output"},
+    "lift": {"--input", "--output"},
+}
+
+
+def test_option_surface(tmp_path, capsys):
+    (commands,) = [a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in commands.choices.items()
+    }
+    assert surface == OPTIONS
+
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({"n": 1, "d": [1], "spaces": [[["1", "0"]]]}))
+    assert run(["check-geometry", "--input", str(path)]) == 0
+    capsys.readouterr()
+    for command in ("check-geometry", "lift"):
+        assert run([command, "--n", "1", "--input", str(path)]) == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_unknown_command_exits_2():
