@@ -9,7 +9,10 @@ s_{n,n} by m_n.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import add, sub
 
 from .charring import LaurentPoly
 from .rootsys import (
@@ -94,60 +97,57 @@ def polytope_spec(m_vec: tuple[int, ...], system: RootSystem) -> PolytopeSpec:
     return PolytopeSpec(system, m_vec, roots, tuple(seen))
 
 
-def lattice_points(spec: PolytopeSpec) -> list[LatticePoint]:
-    """All integer points, by depth-first search with partial-sum pruning.
+def _walk(spec: PolytopeSpec, steps: list, start: tuple) -> Iterator[tuple[int, ...]]:
+    """Yield start + sum_k s_k steps[k] for each lattice point s, in lexicographic order.
 
-    Output is in lexicographic order with respect to spec.roots.
+    An odometer over spec.roots in O(#roots + #inequalities) state: the last level
+    below its cap (its least slack) goes up by one, and the levels after it reset.
     """
-    nroots = len(spec.roots)
-    ineqs = spec.inequalities
-    by_root: list[list[int]] = [[] for _ in range(nroots)]
-    for idx, (support, _) in enumerate(ineqs):
-        for r in support:
-            by_root[r].append(idx)
-    if any(not lst for lst in by_root):
+    nroots, ineqs = len(spec.roots), spec.inequalities
+    by_root = [[i for i, (sup, _) in enumerate(ineqs) if k in sup] for k in range(nroots)]
+    if not all(by_root):
         raise AssertionError("every root must appear in some inequality")
     slack = [bound for _, bound in ineqs]
-    point = [0] * nroots
-    out: list[LatticePoint] = []
-
-    def walk(k: int) -> None:
-        if k == nroots:
-            out.append(tuple(point))
+    cap = [min(map(slack.__getitem__, rows)) for rows in by_root]
+    point, acc = [0] * nroots, start
+    while True:
+        yield acc
+        k = nroots - 1
+        while k >= 0 and point[k] == cap[k]:
+            v, point[k] = point[k], 0
+            if v:
+                for idx in by_root[k]:
+                    slack[idx] += v
+                acc = tuple(map(sub, acc, [v * x for x in steps[k]]))
+            k -= 1
+        if k < 0:
             return
-        cap = min(slack[idx] for idx in by_root[k])
-        for v in range(cap + 1):
-            point[k] = v
-            for idx in by_root[k]:
-                slack[idx] -= v
-            walk(k + 1)
-            for idx in by_root[k]:
-                slack[idx] += v
-        point[k] = 0
+        point[k] += 1
+        for idx in by_root[k]:
+            slack[idx] -= 1
+        acc = tuple(map(add, acc, steps[k]))
+        for j in range(k + 1, nroots):
+            cap[j] = min(map(slack.__getitem__, by_root[j]))
 
-    walk(0)
-    return out
+
+def lattice_points(spec: PolytopeSpec) -> list[LatticePoint]:
+    """All integer points, in lexicographic order with respect to spec.roots."""
+    nroots = len(spec.roots)
+    units = [tuple(int(a == k) for a in range(nroots)) for k in range(nroots)]
+    return list(_walk(spec, units, (0,) * nroots))
 
 
 def dimension(m_vec: tuple[int, ...], system: RootSystem) -> int:
-    return len(lattice_points(polytope_spec(m_vec, system)))
+    spec = polytope_spec(m_vec, system)
+    return sum(1 for _ in _walk(spec, [()] * len(spec.roots), ()))
 
 
 def graded_character(m_vec: tuple[int, ...], system: RootSystem) -> LaurentPoly:
     """PBW-graded character: each point contributes q^(sum s) z^(lambda - sum s_a alpha)."""
     spec = polytope_spec(m_vec, system)
+    steps = [(1, *(-x for x in root_weight(r))) for r in spec.roots]
     lam_eps = weight_of(spec.lam, system)
-    weights = [root_weight(r) for r in spec.roots]
-    terms: dict = {}
-    for point in lattice_points(spec):
-        e = list(lam_eps)
-        for s, w in zip(point, weights):
-            if s:
-                for k, x in enumerate(w):
-                    e[k] -= s * x
-        key = (sum(point), *e)
-        terms[key] = terms.get(key, 0) + 1
-    return LaurentPoly(len(lam_eps), terms)
+    return LaurentPoly(len(lam_eps), Counter(_walk(spec, steps, (0, *lam_eps))))
 
 
 def phi_point_embed(

@@ -146,7 +146,9 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
     fails(["dim", "--n", "2", "--lambda", "1,0,0"])
     fails(["dim", "--n", "2", "--lambda", "1,x"])
     fails(["discrepancy", "--n", "2", "--d", "2,1"])
-    fails(["fixed-points", "--n", "9", "--count"])
+    # Refused by the soft limit, yet small enough to finish (in about 9 s)
+    # rather than exhaust memory if the limit were ever lost.
+    fails(["fixed-points", "--n", "5", "--count"])
     fails(["dim", "--n", "0", "--lambda", ""])
     fails(["fixed-points", "--n", "0"])
     fails(["dim", "--system", "A", "--n", "1", "--lambda", ""])

@@ -1,3 +1,7 @@
+import tracemalloc
+from collections import Counter
+from itertools import product
+
 import pytest
 
 from spflag.charring import LaurentPoly, weyl_character, weyl_dimension
@@ -10,7 +14,14 @@ from spflag.polytope import (
     phi_point_embed,
     polytope_spec,
 )
-from spflag.rootsys import TypeA, TypeC, positive_roots
+from spflag.rootsys import TypeA, TypeC, positive_roots, root_weight, weight_of
+
+# The weights of the benchmark's `characters` workload, at n = 3 and 4.
+CHARACTERS_WEIGHTS = [
+    (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1), (2, 1, 0),
+    (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 0, 0),
+    (2, 0, 0, 0), (1, 0, 1, 0), (0, 0, 1, 1), (0, 1, 0, 1),
+]
 
 
 def path_pairs(system):
@@ -111,6 +122,61 @@ def test_zero_weight_single_point():
     for system, lam in ((TypeC(2), (0, 0)), (TypeA(3), (0, 0)), (TypeC(3), (0, 0, 0))):
         spec = polytope_spec(lam, system)
         assert lattice_points(spec) == [tuple(0 for _ in spec.roots)]
+
+
+@pytest.mark.parametrize(
+    "system, lams",
+    [
+        (TypeC(2), [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]),
+        (TypeC(3), [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1)]),
+        (TypeA(3), [(1, 0), (0, 1), (1, 1), (2, 1), (3, 2)]),
+        (TypeA(4), [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)]),
+    ],
+    ids=["C2", "C3", "A3", "A4"],
+)
+def test_lattice_points_match_brute_force(system, lams):
+    # Completeness and the lexicographic order the `polytope` golden digest
+    # depends on: every point of the box [0, max bound]^#roots that satisfies
+    # the inequalities, sorted.
+    for lam in lams:
+        spec = polytope_spec(lam, system)
+        top = max(bound for _, bound in spec.inequalities)
+        box = product(range(top + 1), repeat=len(spec.roots))
+        brute = [
+            p for p in box
+            if all(sum(p[k] for k in support) <= bound for support, bound in spec.inequalities)
+        ]
+        assert lattice_points(spec) == sorted(brute), lam
+
+
+def per_point_character(lam, system):
+    """The graded character point by point: q^|s| z^(lambda - sum_a s_a alpha_a)."""
+    spec = polytope_spec(lam, system)
+    lam_eps = weight_of(lam, system)
+    weights = [root_weight(r) for r in spec.roots]
+    terms = Counter()
+    for point in lattice_points(spec):
+        z = [x - sum(s * w[k] for s, w in zip(point, weights)) for k, x in enumerate(lam_eps)]
+        terms[(sum(point), *z)] += 1
+    return LaurentPoly(len(lam_eps), terms)
+
+
+@pytest.mark.parametrize("lam", CHARACTERS_WEIGHTS, ids=str)
+@pytest.mark.parametrize("family", [TypeC, TypeA])
+def test_graded_character_matches_per_point_reference(family, lam):
+    system = TypeC(len(lam)) if family is TypeC else TypeA(len(lam) + 1)
+    assert graded_character(lam, system) == per_point_character(lam, system)
+
+
+def test_dimension_holds_no_list_of_points():
+    # 65,536 points; a list of them peaks at about 11 MB.
+    tracemalloc.start()
+    try:
+        assert dimension((1, 1, 1, 1), TypeC(4)) == 65536
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_graded_character_c2_omega1():
