@@ -1,8 +1,11 @@
 """Exact rational linear algebra for degenerate symplectic flag varieties.
 
 Subspaces of W = Q^{2n} are stored as reduced row echelon matrices over
-Fraction, so equality of subspaces is equality of matrices.  Coordinates are
-1-indexed in the public API, matching the basis w_1..w_2n.
+Fraction, so equality of subspaces is equality of matrices.  Elimination runs
+over Python ints: `rref` clears denominators and eliminates fraction-free, and
+each subspace also keeps its RREF rows as primitive int vectors, on which
+membership and isotropy are tested.  Coordinates are 1-indexed in the public
+API, matching the basis w_1..w_2n.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .rootsys import (
     Root,
@@ -34,30 +38,60 @@ class LiftError(ValueError):
 # matrix kernel
 
 
+def _integral(row) -> list[int]:
+    """The row scaled by the lcm of its entries' denominators: an int vector
+    with the same span.  Entries must be int or Fraction."""
+    types = set(map(type, row))
+    if types == {int}:
+        return list(row)
+    if not types <= {int, Q}:
+        bad = (types - {int, Q}).pop()
+        raise TypeError(f"matrix entries must be int or Fraction, got {bad.__name__}")
+    scale = lcm(*[x.denominator for x in row])
+    return [x.numerator * (scale // x.denominator) for x in row]
+
+
+_ZERO, _ONE = Q(0), Q(1)
+
+
 def rref(rows) -> Matrix:
-    """Reduced row echelon form over Fraction; zero rows dropped."""
-    work = [list(map(Q, row)) for row in rows]
+    """Reduced row echelon form over Fraction, zero rows dropped: the form in
+    which `Subspace` stores its rows.
+
+    The elimination runs over Python ints (fraction-free Gauss-Jordan, as in
+    Bareiss 1968): each row is cleared of denominators, a pivot row r clears
+    column c of row k by p*row_k - f*row_r with p = row_r[c], f = row_k[c],
+    and the new row is divided by the gcd of its entries.  Fractions are built
+    once, for the output: a pivot row with pivot p has entries a/p.  Rows must
+    have equal length and int or Fraction entries."""
+    work = [_integral(row) for row in rows]
     if not work:
         return ()
     ncols = len(work[0])
-    lead = 0
-    r = 0
+    if any(len(row) != ncols for row in work):
+        raise ValueError("rows of unequal length")
+    pivots = []
     for col in range(ncols):
-        piv = next((k for k in range(r, len(work)) if work[k][col] != 0), None)
+        r = len(pivots)
+        piv = next((k for k in range(r, len(work)) if work[k][col]), None)
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][col]
-        work[r] = [x * inv for x in work[r]]
-        for k in range(len(work)):
-            if k != r and work[k][col] != 0:
-                f = work[k][col]
-                work[k] = [a - f * b for a, b in zip(work[k], work[r])]
-        r += 1
-        if r == len(work):
+        top = work[r]
+        p = top[col]
+        for k, row in enumerate(work):
+            f = row[col]
+            if f and k != r:
+                row = [p * a - f * b for a, b in zip(row, top)]
+                g = gcd(*row)
+                work[k] = [a // g for a in row] if g > 1 else row
+        pivots.append(col)
+        if len(pivots) == len(work):
             break
-    out = [tuple(row) for row in work[:r] if any(x != 0 for x in row)]
-    return tuple(out)
+    return tuple(
+        tuple(_ONE if c == col else Q(a, row[col]) if a else _ZERO for c, a in enumerate(row))
+        for row, col in zip(work, pivots)
+    )
 
 
 def pivot_columns(red: Matrix) -> tuple[int, ...]:
@@ -65,22 +99,25 @@ def pivot_columns(red: Matrix) -> tuple[int, ...]:
     return tuple(next(c for c, x in enumerate(row) if x != 0) for row in red)
 
 
-def _unit_vectors(indices, ambient: int) -> list[Vector]:
+def _unit_vectors(indices, ambient: int) -> list[tuple[int, ...]]:
     """w_l for l in indices (1-indexed); read as forms, the coordinates w_l^*."""
-    return [tuple(Q(int(c == l - 1)) for c in range(ambient)) for l in indices]
+    return [tuple(int(c == l - 1) for c in range(ambient)) for l in indices]
 
 
 def nullspace(rows, ncols: int) -> list[Vector]:
     """Basis of the right kernel of the matrix, deterministic order.
 
     No rows give the unit basis of Q^ncols."""
+    rows = list(rows)
+    if any(len(row) != ncols for row in rows):
+        raise ValueError(f"rows must have length {ncols}")
     red = rref(rows)
     pivots = pivot_columns(red)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
-        v = [Q(0)] * ncols
-        v[f] = Q(1)
+        v = [_ZERO] * ncols
+        v[f] = _ONE
         for row, p in zip(red, pivots):
             v[p] = -row[f]
         basis.append(tuple(v))
@@ -92,13 +129,20 @@ def nullspace(rows, ncols: int) -> list[Vector]:
 
 
 class Subspace:
-    """Row space of an exact rational matrix, canonicalized by RREF."""
+    """Row space of an exact rational matrix, canonicalized by RREF.
 
-    __slots__ = ("rows", "pivots", "ambient")
+    `rows` is the RREF over Fraction; `int_rows` holds each of its rows scaled
+    to a primitive int vector, whose pivot is positive.  Both are canonical;
+    membership and isotropy are tested on `int_rows`."""
+
+    __slots__ = ("rows", "int_rows", "pivots", "ambient")
 
     def __init__(self, rows: Matrix, ambient: int):
         self.rows = rows
-        self.pivots = pivot_columns(rows)
+        # The pivot of an RREF row is 1, so scaling by the lcm of the
+        # denominators leaves the row primitive with a positive pivot.
+        self.int_rows = tuple(tuple(_integral(row)) for row in rows)
+        self.pivots = pivot_columns(self.int_rows)
         self.ambient = ambient
 
     @classmethod
@@ -140,46 +184,46 @@ class Subspace:
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
-    def reduce_vector(self, v) -> Vector:
-        """Residual of v after elimination against the RREF rows."""
-        v = list(map(Q, v))
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return tuple(v)
-
     def contains_vector(self, v) -> bool:
-        return all(x == 0 for x in self.reduce_vector(v))
+        """Whether v lies in the subspace: v, cleared of denominators, is
+        eliminated against `int_rows` by v <- p*v - v[c]*row for each row
+        with pivot p in column c, and the residual is zero."""
+        v = _integral(v)
+        for row, c in zip(self.int_rows, self.pivots):
+            f = v[c]
+            if f:
+                p = row[c]
+                v = [p * a - f * b for a, b in zip(v, row)]
+        return not any(v)
 
     def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(row) for row in other.rows)
+        return all(self.contains_vector(row) for row in other.int_rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
-        return Subspace(rref(list(self.rows) + list(other.rows)), self.ambient)
+        return Subspace(rref(self.int_rows + other.int_rows), self.ambient)
 
     def annihilator(self) -> list[Vector]:
         """A basis of the linear forms that vanish on the subspace."""
-        return nullspace(self.rows, self.ambient)
+        return nullspace(self.int_rows, self.ambient)
 
     def intersection(self, other: "Subspace") -> "Subspace":
         return Subspace.kernel(self.annihilator() + other.annihilator(), self.ambient)
 
 
-def _zeroed(v, kill) -> Vector:
-    return tuple(Q(0) if (c + 1) in kill else x for c, x in enumerate(v))
+def _zeroed(v, kill) -> tuple:
+    return tuple(0 if (c + 1) in kill else x for c, x in enumerate(v))
 
 
 def project_away(u: Subspace, coords) -> Subspace:
     """Image under the projection that zeroes the given 1-indexed coordinates."""
     kill = set(coords)
-    return Subspace.span([_zeroed(row, kill) for row in u.rows], u.ambient)
+    return Subspace.span([_zeroed(row, kill) for row in u.int_rows], u.ambient)
 
 
 def _contains_projection(big: Subspace, small: Subspace, kill) -> bool:
     """Whether big contains the image of small under the projection zeroing
     the 1-indexed coordinates `kill`: each row of small, zeroed, lies in big."""
-    return all(big.contains_vector(_zeroed(row, kill)) for row in small.rows)
+    return all(big.contains_vector(_zeroed(row, kill)) for row in small.int_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +238,7 @@ def symplectic_form(n: int) -> tuple[int, ...]:
     return (1,) * n + (-1,) * n
 
 
-def _pairing(v, c) -> Vector:
+def _pairing(v, c) -> tuple:
     """The linear form <v, .> of the form c: c ⊙ v reversed."""
     return tuple(a * x for a, x in zip(c, v))[::-1]
 
@@ -206,13 +250,15 @@ def _projected_form(c, kill) -> tuple:
     return tuple(0 if l in kill or size + 1 - l in kill else x for l, x in enumerate(c, 1))
 
 
-def form_value(u, v, c) -> Q:
-    return sum((f * x for f, x in zip(_pairing(u, c), v)), Q(0))
+def form_value(u, v, c):
+    return sum(f * x for f, x in zip(_pairing(u, c), v))
 
 
 def is_isotropic(u: Subspace, n: int, c=None) -> bool:
-    c = c if c is not None else symplectic_form(n)
-    rows = u.rows
+    """Whether the form c (default J) vanishes on u: the rows of `int_rows`
+    pair to zero under c cleared of denominators; scaling changes neither."""
+    c = _integral(c if c is not None else symplectic_form(n))
+    rows = u.int_rows
     return all(form_value(rows[a], b, c) == 0 for a in range(len(rows)) for b in rows[a + 1:])
 
 
@@ -220,7 +266,7 @@ def perp(u: Subspace, n: int, c=None) -> Subspace:
     """Orthogonal complement for the form c (default J), of dimension
     2n - dim u when c is nondegenerate: the kernel of the forms <row, .>."""
     c = c if c is not None else symplectic_form(n)
-    return Subspace.kernel([_pairing(row, c) for row in u.rows], 2 * n)
+    return Subspace.kernel([_pairing(row, c) for row in u.int_rows], 2 * n)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +318,7 @@ class ResolutionPoint:
 
 def _in_w(v: Subspace, i: int, j: int) -> bool:
     """V ⊆ W_{i,j} = span(w_1..w_i, w_{j+1}..w_2n): RREF rows vanish on i+1..j."""
-    return all(x == 0 for row in v.rows for x in row[i:j])
+    return not any(x for row in v.int_rows for x in row[i:j])
 
 
 def in_resolution(p: ResolutionPoint, d: tuple[int, ...], n: int) -> bool:
@@ -314,7 +360,7 @@ def plucker_top_nonzero(u: Subspace, i: int) -> bool:
         raise ValueError("dimension mismatch")
     if i == 0:
         return True
-    return len(rref(row[:i] for row in u.rows)) == i
+    return len(rref(row[:i] for row in u.int_rows)) == i
 
 
 def in_open_cell(p: ResolutionPoint) -> bool:
@@ -338,10 +384,10 @@ def _extend_choice(lower: Subspace, bound, form, i: int, j: int, n: int) -> Subs
     forms += [_zeroed(f, kill) for v, kill in bound for f in v.annihilator()]
     current = lower
     while current.dim < i:
-        pairing = [_pairing(c, form) for c in current.rows]
+        pairing = [_pairing(c, form) for c in current.int_rows]
         feasible = Subspace.kernel(forms + pairing, 2 * n)
         candidates = []
-        for x in feasible.rows:
+        for x in feasible.int_rows:
             if not current.contains_vector(x):
                 candidates.append(current.sum(Subspace.span([x], 2 * n)))
         if not candidates:
@@ -527,7 +573,9 @@ def random_subspace(ambient: int, k: int, rng: random.Random) -> Subspace:
 
 
 def random_isotropic(n: int, k: int, rng: random.Random) -> Subspace:
-    """Random k-dimensional J_1-isotropic subspace of Q^{2n}, k <= n."""
+    """Random k-dimensional J_1-isotropic subspace of Q^{2n}, 0 <= k <= n."""
+    if not 0 <= k <= n:
+        raise ValueError(f"no {k}-dimensional isotropic subspace of Q^{2 * n}")
     current = Subspace.zero(2 * n)
     while current.dim < k:
         room = perp(current, n)

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction as Q
 from itertools import combinations, product
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spflag import geometry
 from spflag.bundles import all_d
@@ -29,6 +32,7 @@ from spflag.geometry import (
     isotropy_transport_check,
     j0_isotropic,
     lift,
+    nullspace,
     perp,
     plucker_top_nonzero,
     project_away,
@@ -37,6 +41,7 @@ from spflag.geometry import (
     random_sl_flag,
     random_sp_flag,
     random_subspace,
+    rref,
     sigma_involution,
     sp_lower_matrix,
     symplectic_form,
@@ -82,6 +87,113 @@ def _dense_form_value(u, v, j_mat):
 # --- linear algebra kernel ---------------------------------------------------
 
 
+def _fraction_rref(rows):
+    """Gauss-Jordan over Fraction, zero rows dropped: the reference for rref."""
+    work = [list(map(Q, row)) for row in rows]
+    r = 0
+    for col in range(len(work[0]) if work else 0):
+        piv = next((k for k in range(r, len(work)) if work[k][col] != 0), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = 1 / work[r][col]
+        work[r] = [x * inv for x in work[r]]
+        for k in range(len(work)):
+            if k != r and work[k][col] != 0:
+                f = work[k][col]
+                work[k] = [a - f * b for a, b in zip(work[k], work[r])]
+        r += 1
+        if r == len(work):
+            break
+    return tuple(tuple(row) for row in work[:r])
+
+
+def _fraction_residual(u: Subspace, v):
+    """v after elimination against the Fraction RREF rows of u."""
+    v = list(map(Q, v))
+    for row, p in zip(u.rows, u.pivots):
+        f = v[p]
+        v = [a - f * b for a, b in zip(v, row)]
+    return v
+
+
+kernel_check = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+small_entry = st.one_of(
+    st.integers(-3, 3), st.builds(Q, st.integers(-9, 9), st.integers(1, 6))
+)
+# Numerators and denominators of 40 to 45 digits.
+huge_entry = st.builds(Q, st.integers(-10**45, 10**45), st.integers(10**39, 10**45))
+
+
+@st.composite
+def matrices(draw):
+    """(rows, ncols): int-only, small-Fraction or huge-Fraction rows, then
+    zero rows, duplicates and multiples of drawn rows mixed in."""
+    ncols = draw(st.integers(1, 6))
+    entry = draw(st.sampled_from([st.integers(-3, 3), small_entry, huge_entry]))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=5))
+    extra = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(-2, 2)), max_size=3))
+    for k, scale in extra:
+        rows.append([x * scale for x in rows[k]] if k < len(rows) else [0] * ncols)
+    return draw(st.permutations(rows)), ncols
+
+
+@kernel_check
+@given(matrices())
+def test_rref_matches_the_fraction_reference(matrix):
+    rows, _ = matrix
+    red = rref(rows)
+    assert red == _fraction_rref(rows)
+    assert all(type(x) is Q for row in red for x in row)
+
+
+def test_rref_edge_cases_match_the_fraction_reference():
+    big = Q(10**41 + 7, 3 * 10**40 + 1)
+    for rows in (
+        [], [[0]], [[5]], [[0], [3], [-2]], [[0, 0], [0, 0]], [[1, 2], [1, 2], [2, 4]],
+        [[2, 4, 6], [1, 0, 3]], [[big, 1, -big], [big, 1, -big], [1, big, 0]],
+    ):
+        assert rref(rows) == _fraction_rref(rows), rows
+
+
+@kernel_check
+@given(matrices(), st.data())
+def test_contains_vector_is_a_zero_fraction_residual(matrix, data):
+    rows, ncols = matrix
+    u = Subspace.span(rows, ncols)
+    if rows and data.draw(st.booleans()):
+        coeffs = data.draw(st.lists(small_entry, min_size=len(rows), max_size=len(rows)))
+        v = [sum((c * row[k] for c, row in zip(coeffs, rows)), Q(0)) for k in range(ncols)]
+    else:
+        v = data.draw(st.lists(small_entry, min_size=ncols, max_size=ncols))
+    assert u.contains_vector(v) == (not any(_fraction_residual(u, v)))
+
+
+@kernel_check
+@given(matrices())
+def test_int_rows_are_primitive_scalings_of_the_rref_rows(matrix):
+    rows, ncols = matrix
+    u = Subspace.span(rows, ncols)
+    assert len(u.int_rows) == len(u.rows)
+    for ints, row, p in zip(u.int_rows, u.rows, u.pivots):
+        assert all(type(a) is int for a in ints)
+        assert gcd(*ints) == 1 and ints[p] > 0
+        assert all(a == x * ints[p] for a, x in zip(ints, row))
+
+
+def test_kernel_rejects_ragged_rows_and_foreign_entries():
+    for rows in ([[0], [1, 2]], [[1, 0], [0]]):
+        with pytest.raises(ValueError):
+            rref(rows)
+    with pytest.raises(ValueError):
+        nullspace([[1, 2, 3]], 2)
+    for bad in (0.5, "1/2", None):
+        with pytest.raises(TypeError):
+            rref([[1, bad]])
+        with pytest.raises(TypeError):
+            w(2, 1).contains_vector([1, bad])
+
+
 def test_rref_canonical():
     a = Subspace.span([vec(2, 4, 0, 0), vec(1, 2, 1, 0)], 4)
     b = Subspace.span([vec(1, 2, 1, 0), vec(0, 0, 2, 0)], 4)
@@ -116,6 +228,12 @@ def test_sum_intersection():
 def test_random_subspace_rejects_an_impossible_dimension(k):
     with pytest.raises(ValueError):
         random_subspace(4, k, random.Random(0))
+
+
+@pytest.mark.parametrize("k", [-1, 3])
+def test_random_isotropic_rejects_an_impossible_dimension(k):
+    with pytest.raises(ValueError):
+        random_isotropic(2, k, random.Random(0))
 
 
 def test_projection():
@@ -460,6 +578,24 @@ def test_in_resolution_makes_no_rref_call(monkeypatch):
     for point in points:
         assert in_resolution(point, point.d, point.n)
     assert calls == []
+
+
+def test_lift_makes_a_pinned_number_of_rref_calls(monkeypatch):
+    # The Fraction elimination made 423 rref calls on these lifts; keeping
+    # each subspace's rows in integer form adds none.
+    rng = random.Random(13)
+    flags = [(random_sp_flag(d, n, rng), n) for n in (2, 3, 4) for d in all_d(n)]
+    calls = []
+    rref = geometry.rref
+
+    def counted_rref(rows):
+        calls.append(1)
+        return rref(rows)
+
+    monkeypatch.setattr(geometry, "rref", counted_rref)
+    for flag, n in flags:
+        lift(flag, n)
+    assert len(calls) == 423
 
 
 def test_lift_calls_kernel_only_to_choose(monkeypatch):
