@@ -285,7 +285,7 @@ def _matrix_from_json(rows, two_n: int) -> geometry.Subspace:
 
 
 def _matrix_to_json(u: geometry.Subspace) -> list[list[str]]:
-    return [[str(x) for x in row] for row in u.rows]
+    return [[str(x) for x in row] for row in u.fraction_rows()]
 
 
 def _load_flag(path: str) -> tuple[geometry.FlagPoint, int]:

@@ -1,11 +1,11 @@
 """Exact rational linear algebra for degenerate symplectic flag varieties.
 
-Subspaces of W = Q^{2n} are stored as reduced row echelon matrices over
-Fraction, so equality of subspaces is equality of matrices.  Elimination runs
-over Python ints: `rref` clears denominators and eliminates fraction-free, and
-each subspace also keeps its RREF rows as primitive int vectors, on which
-membership and isotropy are tested.  Coordinates are 1-indexed in the public
-API, matching the basis w_1..w_2n.
+A subspace of W = Q^{2n} is stored as its reduced row echelon form with each
+row scaled to a primitive int vector whose pivot is positive.  That form is
+unique, so equality of subspaces is equality of int matrices.  Elimination,
+membership and isotropy run over Python ints; Fractions are built only where
+the RREF over Fraction is written or ordered (`Subspace.fraction_rows`).
+Coordinates are 1-indexed in the public API, matching the basis w_1..w_2n.
 """
 
 from __future__ import annotations
@@ -25,8 +25,10 @@ from .rootsys import (
 )
 
 Q = Fraction
-Vector = tuple[Q, ...]
+# Rows of `rref`, `nullspace` and `Subspace`; the input builders give QMatrix.
+Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
+QMatrix = tuple[tuple[Q, ...], ...]
 
 
 class LiftError(ValueError):
@@ -51,19 +53,16 @@ def _integral(row) -> list[int]:
     return [x.numerator * (scale // x.denominator) for x in row]
 
 
-_ZERO, _ONE = Q(0), Q(1)
-
-
 def rref(rows) -> Matrix:
-    """Reduced row echelon form over Fraction, zero rows dropped: the form in
-    which `Subspace` stores its rows.
+    """Reduced row echelon form, zero rows dropped, each row scaled to a
+    primitive int vector with a positive pivot: the form `Subspace` stores.
 
     The elimination runs over Python ints (fraction-free Gauss-Jordan, as in
-    Bareiss 1968): each row is cleared of denominators, a pivot row r clears
-    column c of row k by p*row_k - f*row_r with p = row_r[c], f = row_k[c],
-    and the new row is divided by the gcd of its entries.  Fractions are built
-    once, for the output: a pivot row with pivot p has entries a/p.  Rows must
-    have equal length and int or Fraction entries."""
+    Bareiss 1968): each row is cleared of denominators; a pivot row r, made
+    primitive with pivot p = row_r[c] > 0, clears column c of row k by
+    p*row_k - f*row_r with f = row_k[c], which keeps any pivot of row k
+    positive, and the new row is divided by the gcd of its entries.  Rows
+    must have equal length and int or Fraction entries."""
     work = [_integral(row) for row in rows]
     if not work:
         return ()
@@ -77,7 +76,8 @@ def rref(rows) -> Matrix:
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        top = work[r]
+        g = gcd(*work[r]) if work[r][col] > 0 else -gcd(*work[r])
+        top = work[r] = [a // g for a in work[r]]
         p = top[col]
         for k, row in enumerate(work):
             f = row[col]
@@ -88,10 +88,7 @@ def rref(rows) -> Matrix:
         pivots.append(col)
         if len(pivots) == len(work):
             break
-    return tuple(
-        tuple(_ONE if c == col else Q(a, row[col]) if a else _ZERO for c, a in enumerate(row))
-        for row, col in zip(work, pivots)
-    )
+    return tuple(map(tuple, work[:len(pivots)]))
 
 
 def pivot_columns(red: Matrix) -> tuple[int, ...]:
@@ -105,21 +102,22 @@ def _unit_vectors(indices, ambient: int) -> list[tuple[int, ...]]:
 
 
 def nullspace(rows, ncols: int) -> list[Vector]:
-    """Basis of the right kernel of the matrix, deterministic order.
-
-    No rows give the unit basis of Q^ncols."""
+    """Basis of the right kernel as int vectors, one per free column f of the
+    RREF: L at f and -row[f]*(L // row[p]) at the pivot column p of each row,
+    L the lcm of the pivots.  No rows give the unit basis of Q^ncols."""
     rows = list(rows)
     if any(len(row) != ncols for row in rows):
         raise ValueError(f"rows must have length {ncols}")
     red = rref(rows)
     pivots = pivot_columns(red)
+    scale = lcm(*(row[p] for row, p in zip(red, pivots)))
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
-        v = [_ZERO] * ncols
-        v[f] = _ONE
+        v = [0] * ncols
+        v[f] = scale
         for row, p in zip(red, pivots):
-            v[p] = -row[f]
+            v[p] = -row[f] * (scale // row[p])
         basis.append(tuple(v))
     return basis
 
@@ -129,20 +127,17 @@ def nullspace(rows, ncols: int) -> list[Vector]:
 
 
 class Subspace:
-    """Row space of an exact rational matrix, canonicalized by RREF.
+    """Row space of an exact rational matrix, canonicalized by `rref`.
 
-    `rows` is the RREF over Fraction; `int_rows` holds each of its rows scaled
-    to a primitive int vector, whose pivot is positive.  Both are canonical;
-    membership and isotropy are tested on `int_rows`."""
+    `rows` is the RREF with each row scaled to a primitive int vector whose
+    pivot is positive.  The form is unique, so equality and hashing read it;
+    membership and isotropy are tested on it."""
 
-    __slots__ = ("rows", "int_rows", "pivots", "ambient")
+    __slots__ = ("rows", "pivots", "ambient")
 
     def __init__(self, rows: Matrix, ambient: int):
         self.rows = rows
-        # The pivot of an RREF row is 1, so scaling by the lcm of the
-        # denominators leaves the row primitive with a positive pivot.
-        self.int_rows = tuple(tuple(_integral(row)) for row in rows)
-        self.pivots = pivot_columns(self.int_rows)
+        self.pivots = pivot_columns(rows)
         self.ambient = ambient
 
     @classmethod
@@ -171,6 +166,11 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
+    def fraction_rows(self) -> QMatrix:
+        """The RREF over Fraction, in which `lift` writes and orders spaces:
+        each entry a of a row with pivot p becomes a/p."""
+        return tuple(tuple(Q(a, row[p]) for a in row) for row, p in zip(self.rows, self.pivots))
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Subspace)
@@ -186,10 +186,10 @@ class Subspace:
 
     def contains_vector(self, v) -> bool:
         """Whether v lies in the subspace: v, cleared of denominators, is
-        eliminated against `int_rows` by v <- p*v - v[c]*row for each row
+        eliminated against `rows` by v <- p*v - v[c]*row for each row
         with pivot p in column c, and the residual is zero."""
         v = _integral(v)
-        for row, c in zip(self.int_rows, self.pivots):
+        for row, c in zip(self.rows, self.pivots):
             f = v[c]
             if f:
                 p = row[c]
@@ -197,14 +197,14 @@ class Subspace:
         return not any(v)
 
     def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(row) for row in other.int_rows)
+        return all(self.contains_vector(row) for row in other.rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
-        return Subspace(rref(self.int_rows + other.int_rows), self.ambient)
+        return Subspace(rref(self.rows + other.rows), self.ambient)
 
     def annihilator(self) -> list[Vector]:
         """A basis of the linear forms that vanish on the subspace."""
-        return nullspace(self.int_rows, self.ambient)
+        return nullspace(self.rows, self.ambient)
 
     def intersection(self, other: "Subspace") -> "Subspace":
         return Subspace.kernel(self.annihilator() + other.annihilator(), self.ambient)
@@ -217,13 +217,13 @@ def _zeroed(v, kill) -> tuple:
 def project_away(u: Subspace, coords) -> Subspace:
     """Image under the projection that zeroes the given 1-indexed coordinates."""
     kill = set(coords)
-    return Subspace.span([_zeroed(row, kill) for row in u.int_rows], u.ambient)
+    return Subspace.span([_zeroed(row, kill) for row in u.rows], u.ambient)
 
 
 def _contains_projection(big: Subspace, small: Subspace, kill) -> bool:
     """Whether big contains the image of small under the projection zeroing
     the 1-indexed coordinates `kill`: each row of small, zeroed, lies in big."""
-    return all(big.contains_vector(_zeroed(row, kill)) for row in small.int_rows)
+    return all(big.contains_vector(_zeroed(row, kill)) for row in small.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +255,10 @@ def form_value(u, v, c):
 
 
 def is_isotropic(u: Subspace, n: int, c=None) -> bool:
-    """Whether the form c (default J) vanishes on u: the rows of `int_rows`
-    pair to zero under c cleared of denominators; scaling changes neither."""
+    """Whether the form c (default J) vanishes on u: the int rows of u pair
+    to zero under c cleared of denominators; scaling changes neither."""
     c = _integral(c if c is not None else symplectic_form(n))
-    rows = u.int_rows
+    rows = u.rows
     return all(form_value(rows[a], b, c) == 0 for a in range(len(rows)) for b in rows[a + 1:])
 
 
@@ -266,7 +266,7 @@ def perp(u: Subspace, n: int, c=None) -> Subspace:
     """Orthogonal complement for the form c (default J), of dimension
     2n - dim u when c is nondegenerate: the kernel of the forms <row, .>."""
     c = c if c is not None else symplectic_form(n)
-    return Subspace.kernel([_pairing(row, c) for row in u.int_rows], 2 * n)
+    return Subspace.kernel([_pairing(row, c) for row in u.rows], 2 * n)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +318,7 @@ class ResolutionPoint:
 
 def _in_w(v: Subspace, i: int, j: int) -> bool:
     """V ⊆ W_{i,j} = span(w_1..w_i, w_{j+1}..w_2n): RREF rows vanish on i+1..j."""
-    return not any(x for row in v.int_rows for x in row[i:j])
+    return not any(x for row in v.rows for x in row[i:j])
 
 
 def in_resolution(p: ResolutionPoint, d: tuple[int, ...], n: int) -> bool:
@@ -360,7 +360,7 @@ def plucker_top_nonzero(u: Subspace, i: int) -> bool:
         raise ValueError("dimension mismatch")
     if i == 0:
         return True
-    return len(rref(row[:i] for row in u.int_rows)) == i
+    return len(rref(row[:i] for row in u.rows)) == i
 
 
 def in_open_cell(p: ResolutionPoint) -> bool:
@@ -374,9 +374,9 @@ def in_open_cell(p: ResolutionPoint) -> bool:
 
 
 def _extend_choice(lower: Subspace, bound, form, i: int, j: int, n: int) -> Subspace:
-    """Grow `lower` to dimension i inside the upper bound of `lift`, taking
-    among valid one-vector extensions the candidate with lexicographically
-    minimal RREF, for determinism.  Only here is the bound a kernel of forms:
+    """Grow `lower` to dimension i inside the upper bound of `lift`, taking the
+    valid one-vector extension with the least Fraction RREF, for determinism
+    (int rows order differently).  Only here is the bound a kernel of forms:
     w_{i+1}^*..w_j^*, ann(V) with the coordinates `kill` zeroed for each
     (V, kill) in `bound`, and the pairings <c, .> under `form` = J_M for each
     row c of the current space, which keep it isotropic under J_M."""
@@ -384,15 +384,15 @@ def _extend_choice(lower: Subspace, bound, form, i: int, j: int, n: int) -> Subs
     forms += [_zeroed(f, kill) for v, kill in bound for f in v.annihilator()]
     current = lower
     while current.dim < i:
-        pairing = [_pairing(c, form) for c in current.int_rows]
+        pairing = [_pairing(c, form) for c in current.rows]
         feasible = Subspace.kernel(forms + pairing, 2 * n)
         candidates = []
-        for x in feasible.int_rows:
+        for x in feasible.rows:
             if not current.contains_vector(x):
                 candidates.append(current.sum(Subspace.span([x], 2 * n)))
         if not candidates:
             raise LiftError(f"no valid component at ({i},{j})")
-        current = min(candidates, key=lambda s: s.rows)
+        current = min(candidates, key=Subspace.fraction_rows)
     return current
 
 
@@ -476,7 +476,7 @@ def flat_family_form(s, n: int, k: int) -> tuple[Q, ...]:
     return (Q(1),) * k + (s,) * (n - k) + (-s,) * (n - k) + (Q(-1),) * k
 
 
-def eta_matrix(s, n: int, k: int) -> Matrix:
+def eta_matrix(s, n: int, k: int) -> QMatrix:
     """Diagonal one-parameter subgroup scaling the middle 2(n-k) coordinates."""
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in 0..{n}, got {k}")
@@ -487,7 +487,7 @@ def eta_matrix(s, n: int, k: int) -> Matrix:
     )
 
 
-def apply_matrix(m: Matrix, u: Subspace) -> Subspace:
+def apply_matrix(m: QMatrix, u: Subspace) -> Subspace:
     vecs = [
         tuple(sum(m[r][c] * x for c, x in enumerate(row)) for r in range(len(m)))
         for row in u.rows
@@ -514,7 +514,7 @@ def j0_isotropic(u: Subspace, n: int, k: int) -> bool:
 # random generators (open cell, isotropic subspaces)
 
 
-def sp_lower_matrix(coeffs: dict[Root, Q], n: int) -> Matrix:
+def sp_lower_matrix(coeffs: dict[Root, Q], n: int) -> QMatrix:
     """Strictly lower matrix sum c_alpha f_alpha in sp_2n."""
     m = [[Q(0)] * (2 * n) for _ in range(2 * n)]
     for root, c in coeffs.items():
@@ -525,7 +525,7 @@ def sp_lower_matrix(coeffs: dict[Root, Q], n: int) -> Matrix:
     return tuple(tuple(row) for row in m)
 
 
-def unipotent_flag(gamma: Matrix, d: tuple[int, ...], n: int) -> FlagPoint:
+def unipotent_flag(gamma: QMatrix, d: tuple[int, ...], n: int) -> FlagPoint:
     """Open-cell flag point: V_k is spanned by w_c + sum_{r>k} gamma_{rc} w_r."""
     spaces = []
     for k in d:
@@ -580,9 +580,9 @@ def random_isotropic(n: int, k: int, rng: random.Random) -> Subspace:
     while current.dim < k:
         room = perp(current, n)
         for _ in range(50):
-            v = [Q(0)] * (2 * n)
+            v = [0] * (2 * n)
             for row in room.rows:
-                c = Q(rng.randint(-5, 5))
+                c = rng.randint(-5, 5)
                 if c:
                     v = [a + c * b for a, b in zip(v, row)]
             cand = current.sum(Subspace.span([tuple(v)], 2 * n))

@@ -111,7 +111,7 @@ def _fraction_rref(rows):
 def _fraction_residual(u: Subspace, v):
     """v after elimination against the Fraction RREF rows of u."""
     v = list(map(Q, v))
-    for row, p in zip(u.rows, u.pivots):
+    for row, p in zip(u.fraction_rows(), u.pivots):
         f = v[p]
         v = [a - f * b for a, b in zip(v, row)]
     return v
@@ -138,13 +138,18 @@ def matrices(draw):
     return draw(st.permutations(rows)), ncols
 
 
+def _rref_as_fractions(rows):
+    """`rref` of the rows, checked to be ints, read as its Fraction RREF."""
+    red = rref(rows)
+    assert all(type(x) is int for row in red for x in row)
+    return Subspace(red, len(red[0]) if red else 0).fraction_rows()
+
+
 @kernel_check
 @given(matrices())
 def test_rref_matches_the_fraction_reference(matrix):
     rows, _ = matrix
-    red = rref(rows)
-    assert red == _fraction_rref(rows)
-    assert all(type(x) is Q for row in red for x in row)
+    assert _rref_as_fractions(rows) == _fraction_rref(rows)
 
 
 def test_rref_edge_cases_match_the_fraction_reference():
@@ -153,7 +158,7 @@ def test_rref_edge_cases_match_the_fraction_reference():
         [], [[0]], [[5]], [[0], [3], [-2]], [[0, 0], [0, 0]], [[1, 2], [1, 2], [2, 4]],
         [[2, 4, 6], [1, 0, 3]], [[big, 1, -big], [big, 1, -big], [1, big, 0]],
     ):
-        assert rref(rows) == _fraction_rref(rows), rows
+        assert _rref_as_fractions(rows) == _fraction_rref(rows), rows
 
 
 @kernel_check
@@ -171,14 +176,26 @@ def test_contains_vector_is_a_zero_fraction_residual(matrix, data):
 
 @kernel_check
 @given(matrices())
-def test_int_rows_are_primitive_scalings_of_the_rref_rows(matrix):
+def test_rows_are_primitive_scalings_of_the_fraction_rref(matrix):
     rows, ncols = matrix
     u = Subspace.span(rows, ncols)
-    assert len(u.int_rows) == len(u.rows)
-    for ints, row, p in zip(u.int_rows, u.rows, u.pivots):
+    reference = _fraction_rref(rows)
+    assert len(u.rows) == len(reference)
+    for ints, row, p in zip(u.rows, reference, u.pivots):
         assert all(type(a) is int for a in ints)
         assert gcd(*ints) == 1 and ints[p] > 0
         assert all(a == x * ints[p] for a, x in zip(ints, row))
+
+
+@kernel_check
+@given(matrices())
+def test_nullspace_is_an_int_basis_of_the_kernel(matrix):
+    rows, ncols = matrix
+    basis = nullspace(rows, ncols)
+    assert all(type(x) is int for v in basis for x in v)
+    assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows for v in basis)
+    assert len(basis) == ncols - len(_fraction_rref(rows))
+    assert len(rref(basis)) == len(basis)
 
 
 def test_kernel_rejects_ragged_rows_and_foreign_entries():
@@ -194,11 +211,20 @@ def test_kernel_rejects_ragged_rows_and_foreign_entries():
             w(2, 1).contains_vector([1, bad])
 
 
-def test_rref_canonical():
-    a = Subspace.span([vec(2, 4, 0, 0), vec(1, 2, 1, 0)], 4)
-    b = Subspace.span([vec(1, 2, 1, 0), vec(0, 0, 2, 0)], 4)
-    assert a == b and a.dim == 2
-    assert hash(a) == hash(b)
+@kernel_check
+@given(matrices(), st.data())
+def test_rref_canonical(matrix, data):
+    # The span of rows permuted and scaled by nonzero rationals, with the sum
+    # of two of them added, is the same subspace with the same hash.
+    rows, ncols = matrix
+    nonzero = st.builds(Q, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+    scales = data.draw(st.lists(nonzero, min_size=len(rows), max_size=len(rows)))
+    moved = [[c * x for x in row] for c, row in zip(scales, rows)]
+    if len(rows) > 1:
+        moved.append([a + b for a, b in zip(rows[0], rows[1])])
+    a, b = Subspace.span(rows, ncols), Subspace.span(data.draw(st.permutations(moved)), ncols)
+    assert a == b and hash(a) == hash(b)
+    assert a.dim == len(_fraction_rref(rows))
 
 
 def test_sum_intersection():
@@ -447,6 +473,16 @@ def test_lift_round_trip_random(n):
             back = project_pi(res)
             assert back.d == flag.d and back.spaces == flag.spaces
             assert in_open_cell(res)
+
+
+def test_extend_choice_takes_the_least_fraction_rref():
+    # Inside V, span((1,1,0,0)) grows to A = span((1,0,0,-1/3), (0,1,0,1/3))
+    # or to span((1,1,0,0), (0,0,1,0)).  A has the least Fraction RREF; on
+    # primitive int rows, (1,1,0,0) < (3,0,0,-1) would take the other.
+    v = Subspace.span([vec(1, 1, 0, 0), vec(0, 0, 1, 0), vec(3, 0, 0, -1)], 4)
+    lower = Subspace.span([vec(1, 1, 0, 0)], 4)
+    a = Subspace.span([vec(3, 0, 0, -1), vec(0, 3, 0, 1)], 4)
+    assert geometry._extend_choice(lower, [(v, set())], (0,) * 4, 2, 2, 2) == a
 
 
 def test_lift_error_on_nonmember():
