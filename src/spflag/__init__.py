@@ -3,7 +3,6 @@
 from .charring import (
     LaurentPoly,
     RationalPoint,
-    to_json_terms,
     weyl_character,
     weyl_dimension,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "radical_pairs",
     "root_vector_matrix",
     "root_weight",
-    "to_json_terms",
     "weyl_character",
     "weyl_dimension",
 ]

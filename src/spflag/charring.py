@@ -2,7 +2,7 @@
 
 Terms are stored sparsely as {(q, z_1, ..., z_k) exponent vector: int} with
 zero coefficients never kept.  The variable convention is z_i = e^{eps_i};
-conversion to the omega-exponent convention happens only at serialization.
+conversion to the omega-exponent convention happens only in the CLI output.
 
 The Weyl dimension is the product formula.  The Weyl character comes from
 Freudenthal's recursion over the dominant weights below the highest weight,
@@ -79,7 +79,7 @@ class LaurentPoly:
         if not self.terms:
             return "0"
         bits = []
-        for (q, *ze), c in self.sorted_terms():
+        for (q, *ze), c in sorted(self.terms.items()):
             mono = "".join(f"*z{i + 1}^{e}" for i, e in enumerate(ze) if e)
             if q:
                 mono = f"*q^{q}" + mono
@@ -115,10 +115,6 @@ class LaurentPoly:
         return LaurentPoly(self.nvars, out)
 
     __rmul__ = __mul__
-
-    def sorted_terms(self) -> list[tuple[Exponent, int]]:
-        """Terms sorted by (q, weight lexicographic)."""
-        return sorted(self.terms.items())
 
     def evaluate(self, pt: RationalPoint) -> Fraction:
         """Exact substitution at a rational point, summed in integers.
@@ -299,14 +295,3 @@ def eps_to_omega(exps: tuple[int, ...]) -> tuple[int, ...]:
     """Rewrite an epsilon-exponent vector in fundamental-weight exponents."""
     n = len(exps)
     return tuple(exps[k] - (exps[k + 1] if k + 1 < n else 0) for k in range(n))
-
-
-def to_json_terms(p: LaurentPoly, weight_basis: str = "eps") -> list[dict]:
-    """Serialize as a list of {"q", "weight", "mult"}, sorted by (q, weight)."""
-    if weight_basis not in ("eps", "omega"):
-        raise ValueError("weight_basis must be 'eps' or 'omega'")
-    out = []
-    for (q, *ze), c in p.sorted_terms():
-        w = ze if weight_basis == "eps" else list(eps_to_omega(ze))
-        out.append({"q": q, "weight": w, "mult": c})
-    return out

@@ -118,6 +118,24 @@ def _weight(args) -> tuple[RootSystem, tuple[int, ...]]:
 Output = tuple[int, Iterable[str]]
 
 
+def _document(head: dict, key: str, body: Iterable[str]) -> Iterator[str]:
+    """The indented JSON of `head` with one more member, the array `key`,
+    last.  `body` yields the array's elements as text at depth 2, each one
+    starting with "\n" or ",\n"; it must yield at least one."""
+    yield f'{_JSON.encode(head)[:-2]},\n  "{key}": ['
+    yield from body
+    yield "\n  ]\n}"
+
+
+def _terms(poly: charring.LaurentPoly, basis: str) -> Iterator[str]:
+    """The `terms` of a character, one {"q", "weight", "mult"} element per
+    term in exponent order, written as `_JSON` would write them."""
+    for k, ((q, *ze), c) in enumerate(sorted(poly.terms.items())):
+        weight = ",\n        ".join(map(str, ze if basis == "eps" else charring.eps_to_omega(ze)))
+        yield ((",\n" if k else "\n") + f'    {{\n      "q": {q},\n      "weight": [\n'
+               f'        {weight}\n      ],\n      "mult": {c}\n    }}')
+
+
 def cmd_dim(args) -> Output:
     system, lam = _weight(args)
     return 0, _JSON.iterencode(polytope.dimension(lam, system))
@@ -126,28 +144,21 @@ def cmd_dim(args) -> Output:
 def cmd_qchar(args) -> Output:
     system, lam = _weight(args)
     gc = polytope.graded_character(lam, system)
-    doc = {
-        "command": "qchar",
-        "n": args.n,
-        "lambda": list(lam),
-        "weight_basis": args.weight_basis,
-        "terms": charring.to_json_terms(gc, args.weight_basis),
-    }
-    return 0, _JSON.iterencode(doc)
+    head = {"command": "qchar", "n": args.n, "lambda": list(lam), "weight_basis": args.weight_basis}
+    return 0, _document(head, "terms", _terms(gc, args.weight_basis))
 
 
 def cmd_weyl(args) -> Output:
     _, lam = _weight(args)
     ch = charring.weyl_character(lam, args.n)
-    doc = {
+    head = {
         "command": "weyl",
         "n": args.n,
         "lambda": list(lam),
         "dimension": charring.weyl_dimension(lam, args.n),
         "weight_basis": args.weight_basis,
-        "terms": charring.to_json_terms(ch, args.weight_basis),
     }
-    return 0, _JSON.iterencode(doc)
+    return 0, _document(head, "terms", _terms(ch, args.weight_basis))
 
 
 def cmd_polytope(args) -> Output:
@@ -169,8 +180,8 @@ def cmd_polytope(args) -> Output:
     return 0, _JSON.iterencode(doc)
 
 
-def _fixed_points_text(n: int) -> Iterator[str]:
-    """The `fixed-points` document as indented JSON, two chunks per collection.
+def _collections(n: int) -> Iterator[str]:
+    """The `collections` of the `fixed-points` document, two chunks each.
 
     The tower walk builds the text of a component once per tower branch and
     carries it down; a collection is the join of its components' text, cut
@@ -193,8 +204,6 @@ def _fixed_points_text(n: int) -> Iterator[str]:
     count = 2 ** (n * n)
     half = n * n // 2  # of the n^2 components; none at n = 1
     joint = ",\n" if half else ""
-    yield (f'{{\n  "command": "fixed-points",\n  "n": {n},\n'
-           f'  "count": {count},\n  "collections": [')
     written = 0
     tail: list[str] | None = None
     for parts in fixedpoints.iter_fixed_points(n, component):
@@ -206,14 +215,14 @@ def _fixed_points_text(n: int) -> Iterator[str]:
         written += 1
     if written != count:
         raise RuntimeError(f"the tower walk gave {written} collections, not {count}")
-    yield "\n  ]\n}"
 
 
 def cmd_fixed_points(args) -> Output:
     if args.count:
         count = sum(1 for _ in fixedpoints.iter_fixed_points(args.n, lambda key, s: None))
         return 0, _JSON.iterencode(count)
-    return 0, _fixed_points_text(args.n)
+    head = {"command": "fixed-points", "n": args.n, "count": 2 ** (args.n * args.n)}
+    return 0, _document(head, "collections", _collections(args.n))
 
 
 def cmd_abl_verify(args) -> Output:
@@ -443,9 +452,14 @@ def main() -> None:
     except OSError as exc:
         # The reader closed stdout, or its disk is full: a usage error, like an
         # unwritable --output (every other file turns its OSError into one).
-        # Pointing stdout at devnull keeps the interpreter's last flush quiet.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        # stderr may be that closed pipe too (`2>&1 | head`), so the error line
+        # is best effort; devnull keeps the interpreter's last flush quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        try:
+            print(f"error: cannot write stdout: {exc}", file=sys.stderr, flush=True)
+        except OSError:
+            os.dup2(devnull, sys.stderr.fileno())
         code = 2
     sys.exit(code)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spflag import charring
+from spflag import charring, cli
 from spflag.charring import (
     LaurentPoly,
     RationalPoint,
@@ -14,7 +14,6 @@ from spflag.charring import (
     eps_to_omega,
     evaluate_monomial,
     rho,
-    to_json_terms,
     weyl_character,
     weyl_dimension,
 )
@@ -257,12 +256,38 @@ def test_eps_to_omega_triangular():
     assert eps_to_omega((5, 3)) == (2, 3)
 
 
+def json_terms(p: LaurentPoly, weight_basis: str) -> list[dict]:
+    """The `terms` array of `weyl` and `qchar` built as JSON values: the
+    reference for the CLI's text writer."""
+    out = []
+    for (q, *ze), c in sorted(p.terms.items()):
+        w = ze if weight_basis == "eps" else list(eps_to_omega(ze))
+        out.append({"q": q, "weight": w, "mult": c})
+    return out
+
+
 def test_json_terms_sorted():
     p = LaurentPoly(1, {(1, 0): 1, (0, 2): 1, (0, -2): 2})
-    terms = to_json_terms(p)
+    terms = json_terms(p, "eps")
     assert terms == [
         {"q": 0, "weight": [-2], "mult": 2},
         {"q": 0, "weight": [2], "mult": 1},
         {"q": 1, "weight": [0], "mult": 1},
     ]
-    assert to_json_terms(p, "omega")[0]["weight"] == [-2]
+    assert json_terms(p, "omega")[0]["weight"] == [-2]
+
+
+@st.composite
+def nonzero_polys(draw):
+    nvars = draw(st.integers(1, 4))
+    key = st.tuples(*[st.integers(-3, 3)] * (nvars + 1))
+    coeff = st.integers(-50, 50).filter(bool)
+    return LaurentPoly(nvars, draw(st.dictionaries(key, coeff, min_size=1, max_size=8)))
+
+
+@given(nonzero_polys(), st.sampled_from(["eps", "omega"]))
+@settings(max_examples=200, deadline=None)
+def test_terms_writer_equals_the_encoder(p, basis):
+    head = {"command": "weyl", "n": p.nvars, "lambda": [0] * p.nvars, "weight_basis": basis}
+    text = "".join(cli._document(head, "terms", cli._terms(p, basis)))
+    assert text == cli._JSON.encode({**head, "terms": json_terms(p, basis)})

@@ -210,21 +210,23 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
     fails(["lift", "--input", str(path)])
 
 
-def _fixed_points_stderr(n, stdout):
+def _fixed_points_stderr(n, stdout, stderr=subprocess.PIPE):
     """Exit status and stderr lines of `fixed-points --n n` writing to
-    `stdout`; a pipe is closed after its first line is read."""
+    `stdout`; a pipe is closed after its first line is read.  With
+    `stderr=subprocess.STDOUT` the error line goes to that pipe too, and no
+    lines are returned."""
     src = os.path.dirname(os.path.dirname(spflag.__file__))
     proc = subprocess.Popen(
         [sys.executable, "-m", "spflag.cli", "fixed-points", "--n", str(n)],
         stdout=stdout,
-        stderr=subprocess.PIPE,
+        stderr=stderr,
         env=dict(os.environ, PYTHONPATH=src),
     )
     if stdout == subprocess.PIPE:
         assert proc.stdout.readline() == b"{\n"
         proc.stdout.close()
     _, err = proc.communicate(timeout=60)
-    return proc.returncode, err.decode().splitlines()
+    return proc.returncode, (err or b"").decode().splitlines()
 
 
 def test_closed_stdout_is_a_usage_error():
@@ -243,12 +245,32 @@ def test_closed_stdout_at_n4_is_a_usage_error():
     assert len(lines) == 1 and lines[0].startswith("error: cannot write stdout"), lines
 
 
+def test_closed_stdout_shared_with_stderr_is_a_usage_error():
+    # `fixed-points --n 3 2>&1 | head -1`: the error line cannot be written to
+    # the closed pipe either, and the exit status is still the usage error's.
+    rc, lines = _fixed_points_stderr(3, subprocess.PIPE, subprocess.STDOUT)
+    assert rc == 2 and lines == []
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_full_stdout_is_a_usage_error():
     with open("/dev/full", "w") as full:
         rc, lines = _fixed_points_stderr(3, full)
     assert rc == 2
     assert len(lines) == 1 and lines[0].startswith("error: cannot write stdout"), lines
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_unwritable_usage_error_line_still_exits_2():
+    # The soft-limit error cannot be written to stderr; the exit status is
+    # still the usage error's, not an uncaught OSError's 1.
+    src = os.path.dirname(os.path.dirname(spflag.__file__))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "spflag.cli", "dim", "--n", "5", *OMEGA_1],
+            stdout=subprocess.PIPE, stderr=full, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+    assert (proc.returncode, proc.stdout) == (2, b"")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -270,10 +292,10 @@ def test_fixed_points_stream_equals_the_encoded_document(n, tmp_path, capture):
 
 
 def test_fixed_points_n4_chunks_are_small_objects():
-    # Each chunk between the document's head and tail is at most 512 bytes,
-    # the largest object Python's small-object allocator serves, and the
-    # closing half of a collection is the same object while it is unchanged.
-    chunks = list(cli._fixed_points_text(4))[1:-1]
+    # Each chunk of the collections is at most 512 bytes, the largest object
+    # Python's small-object allocator serves, and the closing half of a
+    # collection is the same object while it is unchanged.
+    chunks = list(cli._collections(4))
     assert len(chunks) == 2 * 2**16
     assert max(map(sys.getsizeof, chunks)) <= 512
     assert len({id(c) for c in chunks[1::2]}) == 2**16 // 8

@@ -125,6 +125,14 @@ GOLDEN = {
         (0, "9c8b03d8fdfd666276dfa3287aff7869eb16ea11de6d0f37a58e58e0c3bf449a"),
     "qchar --n 4 --lambda 0,1,0,1 --weight-basis omega":
         (0, "9017b03b81f18c06821d110e3a1e3b209871f5d87c38f400f6dc47c798ed7b1d"),
+    # Edge layouts: one term with a one-entry weight, the zero weight of A_1
+    # in the omega basis, and the one-component collections at n = 1.
+    "weyl --n 1 --lambda 0":
+        (0, "412a4e9328d604580b4ee45d0ca74f1badfcc8661c775a4e8895c2b0a0a2c7f7"),
+    "qchar --n 2 --lambda 0 --system A --weight-basis omega":
+        (0, "a8805942d10ce4c1e6c30ed9a204dfde677dff1af575a72941e4941f4ac91f94"),
+    "fixed-points --n 1":
+        (0, "caff8949729140b95304dfe695f45b5a4993a3f1500ccad29f78abe922d2863a"),
     "weyl --n 3 --lambda 0,1,0":
         (0, "0d91c455b7f6f2f5aad9ed9e85e50c2d90c2f84159bdb62fb0f686f0d97bf709"),
     "weyl --n 2 --lambda 2,1 --weight-basis omega":
