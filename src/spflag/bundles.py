@@ -183,19 +183,16 @@ def verify_canonical_identity(d: tuple[int, ...], n: int) -> tuple[bool, Ledger]
 
 
 def discrepancy_table(d: tuple[int, ...], n: int) -> list[dict]:
-    """Rows (i, j, b, exceptional) sorted by (i, j), ready for CSV/JSON."""
+    """Rows (i, j, b, exceptional) sorted by (i, j), ready for CSV/JSON.
+
+    `exceptional` is `is_exceptional`, read off one `nonexceptional_pairs`.
+    """
     d = tuple(d)
-    rows = []
-    for i, j in sorted(radical_pairs(d, n)):
-        rows.append(
-            {
-                "i": i,
-                "j": j,
-                "b": discrepancy_b(i, j, d, n),
-                "exceptional": is_exceptional(i, j, d, n),
-            }
-        )
-    return rows
+    keep = nonexceptional_pairs(d, n)
+    return [
+        {"i": i, "j": j, "b": discrepancy_b(i, j, d, n), "exceptional": (i, j) not in keep}
+        for i, j in sorted(radical_pairs(d, n))
+    ]
 
 
 def all_d(n: int) -> list[tuple[int, ...]]:

@@ -134,6 +134,17 @@ def test_discrepancy_table_shape():
     assert all(set(r) == {"i", "j", "b", "exceptional"} for r in rows)
 
 
+def test_discrepancy_table_rows_agree_with_the_per_pair_api():
+    # The table reads `exceptional` off one `nonexceptional_pairs` per table.
+    for n in range(1, 7):
+        for d in all_d(n):
+            rows = discrepancy_table(d, n)
+            assert [(r["i"], r["j"]) for r in rows] == sorted(radical_pairs(d, n))
+            for r in rows:
+                assert r["b"] == discrepancy_b(r["i"], r["j"], d, n)
+                assert r["exceptional"] == is_exceptional(r["i"], r["j"], d, n), (n, d)
+
+
 def test_all_d():
     assert all_d(2) == [(1,), (2,), (1, 2)]
     assert len(all_d(4)) == 15

@@ -147,6 +147,23 @@ GOLDEN = {
         (0, "e30b56ed25ac480a082da4c4d196b2e4e6316c13e620a0cf14c1b61418a51887"),
     "polytope --n 3 --lambda 1,1 --system A":
         (0, "a803cfedbf9d30f352c94e81b429e6a642bc0753600920ae7bf6f8897df3c6b4"),
+    # Weights where inequalities of bound 0 hold roots at 0: every root
+    # (i, j) with j < 4 at (0,0,0,2); all but (i, j) with i <= 2 <= j at
+    # A(0,1,0); every root at lambda = 0.
+    "dim --n 4 --lambda 0,0,0,2":
+        (0, "56c2799e32bf4b8c4d4c9bbaf7fe6b6122e4b1280373bd9b2ff0d194a08999d0"),
+    "qchar --n 4 --lambda 0,0,0,2":
+        (0, "4cbb3b0d5fc006168050f1c8cb6cacf8e76c6a08afb691a90ec7a69333786818"),
+    "polytope --n 4 --lambda 0,0,0,2":
+        (0, "cee9d1de1457125f3204461b1d8a6f754630577470b05ad1c8c178159a92773a"),
+    "dim --n 4 --lambda 0,1,0 --system A":
+        (0, "06e9d52c1720fca412803e3b07c4b228ff113e303f4c7ab94665319d832bbfb7"),
+    "qchar --n 4 --lambda 0,1,0 --system A":
+        (0, "dcca9c64eecb45b80f83694bb2752039ec1e77f009e43f1cf105935b76c40e83"),
+    "polytope --n 4 --lambda 0,1,0 --system A":
+        (0, "c014fcd0a4644eba8adb660eff181a35f89196b65ae8f8737379f066ebe9f6cb"),
+    "polytope --n 3 --lambda 0,0,0":
+        (0, "9f1ccaf99d3e5239bfcdd4ab3b83c98dde782bc262d05bba1f64e7744d549f1e"),
     "fixed-points --n 3":
         (0, "d21b7f85caafa9f28e4d390b428aa6b408c3fecc3fdfdacc289bd279b11102b8"),
     "fixed-points --n 3 --count":

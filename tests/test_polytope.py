@@ -1,12 +1,14 @@
 import tracemalloc
 from collections import Counter
 from itertools import product
+from operator import add, sub
 
 import pytest
 
 from spflag.charring import LaurentPoly, weyl_character, weyl_dimension
 from spflag.polytope import (
     EmbeddingError,
+    _walk,
     dimension,
     dyck_paths,
     graded_character,
@@ -14,7 +16,7 @@ from spflag.polytope import (
     phi_point_embed,
     polytope_spec,
 )
-from spflag.rootsys import TypeA, TypeC, positive_roots, root_weight, weight_of
+from spflag.rootsys import TypeA, TypeC, positive_roots, rank, root_weight, weight_of
 
 # The weights of the benchmark's `characters` workload, at n = 3 and 4.
 CHARACTERS_WEIGHTS = [
@@ -119,9 +121,14 @@ def test_lattice_points_c2_omega2():
 
 
 def test_zero_weight_single_point():
-    for system, lam in ((TypeC(2), (0, 0)), (TypeA(3), (0, 0)), (TypeC(3), (0, 0, 0))):
+    # Every inequality has bound 0, so no root is free: one line, one point.
+    for system in (TypeC(1), TypeC(2), TypeC(3), TypeC(4), TypeA(2), TypeA(3), TypeA(5)):
+        lam = (0,) * rank(system)
         spec = polytope_spec(lam, system)
         assert lattice_points(spec) == [tuple(0 for _ in spec.roots)]
+        assert list(_walk(spec, [()] * len(spec.roots), ())) == [((), 0, ())]
+        assert dimension(lam, system) == 1
+        assert graded_character(lam, system) == LaurentPoly.one(len(weight_of(lam, system)))
 
 
 @pytest.mark.parametrize(
@@ -147,6 +154,73 @@ def test_lattice_points_match_brute_force(system, lams):
             if all(sum(p[k] for k in support) <= bound for support, bound in spec.inequalities)
         ]
         assert lattice_points(spec) == sorted(brute), lam
+
+
+def _reference_walk(spec, steps, start):
+    """The point-at-a-time odometer over every root, dead or free: yield
+    start + sum_k s_k steps[k] for each lattice point s, in lexicographic order."""
+    nroots, ineqs = len(spec.roots), spec.inequalities
+    by_root = [[i for i, (sup, _) in enumerate(ineqs) if k in sup] for k in range(nroots)]
+    slack = [bound for _, bound in ineqs]
+    cap = [min(map(slack.__getitem__, rows)) for rows in by_root]
+    point, acc = [0] * nroots, start
+    while True:
+        yield acc
+        k = nroots - 1
+        while k >= 0 and point[k] == cap[k]:
+            v, point[k] = point[k], 0
+            if v:
+                for idx in by_root[k]:
+                    slack[idx] += v
+                acc = tuple(map(sub, acc, [v * x for x in steps[k]]))
+            k -= 1
+        if k < 0:
+            return
+        point[k] += 1
+        for idx in by_root[k]:
+            slack[idx] -= 1
+        acc = tuple(map(add, acc, steps[k]))
+        for j in range(k + 1, nroots):
+            cap[j] = min(map(slack.__getitem__, by_root[j]))
+
+
+def _reference_character(spec):
+    steps = [(1, *(-x for x in root_weight(r))) for r in spec.roots]
+    lam_eps = weight_of(spec.lam, spec.system)
+    return LaurentPoly(len(lam_eps), Counter(_reference_walk(spec, steps, (0, *lam_eps))))
+
+
+@pytest.mark.parametrize(
+    "system, lams",
+    [
+        *((TypeC(n), list(product(range(3), repeat=n))) for n in (1, 2, 3)),
+        *((TypeA(m), list(product(range(3), repeat=m - 1))) for m in (2, 3, 4)),
+        (TypeC(4), [lam for lam in CHARACTERS_WEIGHTS if len(lam) == 4]),
+        (TypeA(5), [lam for lam in CHARACTERS_WEIGHTS if len(lam) == 4]),
+    ],
+    ids=["C1", "C2", "C3", "A2", "A3", "A4", "C4-characters", "A5-characters"],
+)
+def test_line_walk_matches_the_point_walk_over_every_root(system, lams):
+    for lam in lams:
+        spec = polytope_spec(lam, system)
+        nroots = len(spec.roots)
+        units = [tuple(int(a == k) for a in range(nroots)) for k in range(nroots)]
+        want = list(_reference_walk(spec, units, (0,) * nroots))
+        assert lattice_points(spec) == want, lam
+        assert dimension(lam, system) == len(want), lam
+        assert graded_character(lam, system) == _reference_character(spec), lam
+
+
+@pytest.mark.parametrize(
+    "lam, lines, points", [((0, 0, 0, 4), 8918, 26026), ((0, 0, 1, 1), 714, 1056)], ids=str
+)
+def test_walk_steps_once_per_line_of_free_roots(lam, lines, points):
+    # The work count: at (0,0,0,4) the six roots (i, j) with j < 4 are dead
+    # and each line holds about three points; a walk over every root, or one
+    # point at a time, would step once per point.
+    spec = polytope_spec(lam, TypeC(4))
+    walk = list(_walk(spec, [()] * len(spec.roots), ()))
+    assert (len(walk), sum(c + 1 for _, c, _ in walk)) == (lines, points)
 
 
 def per_point_character(lam, system):
