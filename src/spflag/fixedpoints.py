@@ -6,7 +6,8 @@ with the projections, and self-paired-free on the anti-diagonal.  There are
 exactly two choices at every step of the tower, so 2^(n^2) collections.
 
 `_tower(n)` is the one description of that tower: `iter_fixed_points` walks
-it and `abl_character` pushes the localization sum down it.  `ab_pair`,
+it and `abl_character` pushes the localization sum down it, read once per
+(n, width) into `_packed_tower` with each edge's shifts packed.  `ab_pair`,
 `denominator_deltas`, `abl_numerator_weight` and `is_admissible` check one
 collection on its own, the reference the tests compare the tower against.
 """
@@ -19,7 +20,15 @@ from fractions import Fraction
 from functools import cache
 from typing import Any
 
-from .charring import Exponent, LaurentPoly, RationalPoint, _divide_by_binomial, evaluate_monomial
+from .charring import (
+    Exponent,
+    LaurentPoly,
+    RationalPoint,
+    _divide_by_binomial,
+    _pack,
+    _packing_width,
+    _unpack,
+)
 from .geometry import ResolutionPoint, Subspace
 from .polytope import graded_character
 from .rootsys import TypeC, index_pairs
@@ -209,6 +218,37 @@ def _tower(n: int) -> tuple[tuple[int, int, dict], ...]:
     return tuple(steps)
 
 
+def _exponent_bound(m_vec: tuple[int, ...], n: int) -> int:
+    """A bound on every coordinate of every exponent `abl_character` forms.
+
+    Each term of a state's value lies in the convex hull of the sums, over
+    the steps below it, of m_i wtq(S_ii) at each diagonal step and of 0 or
+    Delta at each step: a numerator adds one of them, and a quotient stays
+    between its line's ends.  A coordinate of wtq(S_ii) is within +-i (the
+    q-part counts at most i indices, a z-part is within +-1) and one of Delta
+    within +-2, so every coordinate is within sum_i m_i i + 2 n^2.
+    """
+    return sum(i * m for i, m in enumerate(m_vec, start=1)) + 2 * n * n
+
+
+@cache
+def _packed_tower(n: int, width: int) -> tuple[tuple[int, tuple], ...]:
+    """`_tower(n)` last step first, with each edge's shifts packed at `width`.
+
+    Step (i,j) becomes `(i if i == j else 0, edges)`, one edge
+    `(state, after a, after b, P(wtq(S_ii)) for a, for b, P(Delta), -Delta)`
+    per state; the wtq parts are 0 off the diagonal.
+    """
+    packed = []
+    for i, j, edges in reversed(_tower(n)):
+        rows = []
+        for key, (((here_a, after_a), (here_b, after_b)), delta) in edges.items():
+            wa, wb = (_pack(wtq_component(here, i, n), width) if i == j else 0 for here in (here_a, here_b))
+            rows.append((key, after_a, after_b, wa, wb, _pack(delta, width), tuple(-d for d in delta)))
+        packed.append((i if i == j else 0, tuple(rows)))
+    return tuple(packed)
+
+
 def abl_character(m_vec: tuple[int, ...], n: int) -> LaurentPoly:
     """The localization sum as an exact Laurent polynomial in q, z_1..z_n.
 
@@ -217,26 +257,25 @@ def abl_character(m_vec: tuple[int, ...], n: int) -> LaurentPoly:
     state after choosing x, times e^{m_i wtq(S_ii)} at a diagonal (i,i); the
     two terms g(a)/(1 - e^Delta) + g(b)/(1 - e^-Delta) sum to
     (g(a) - e^Delta g(b)) / (1 - e^Delta), one exact `_divide_by_binomial`.
-    An inexact step raises ArithmeticError.
+    An inexact step raises ArithmeticError.  Every exponent is one int,
+    packed by `_pack` at the width that `_exponent_bound(m_vec, n)` fixes, so
+    a shift is one int addition; the terms are unpacked once, at the end.
     """
-    steps = _tower(n)
-    zero = (0,) * (n + 1)
-    values: dict[State, dict[Exponent, int]] = {(): {zero: 1}}
-    for i, j, edges in reversed(steps):
+    width = _packing_width(_exponent_bound(m_vec, n))
+    values: dict[State, dict[int, int]] = {(): {0: 1}}
+    for i, edges in _packed_tower(n, width):
+        m = m_vec[i - 1] if i else 0
         pushed = {}
-        for key, (branches, delta) in edges.items():
-            num: dict[Exponent, int] = {}
-            for (here, state), sign, shift in zip(branches, (1, -1), (zero, delta)):
-                if i == j and m_vec[i - 1]:
-                    w = wtq_component(here, i, n)
-                    shift = tuple(s + m_vec[i - 1] * e for s, e in zip(shift, w))
-                for e, c in values[state].items():
-                    e = tuple(u + v for u, v in zip(e, shift))
-                    num[e] = num.get(e, 0) + sign * c
-            num = {e: c for e, c in num.items() if c}
-            pushed[key] = _divide_by_binomial(num, tuple(-d for d in delta))
+        for key, after_a, after_b, wa, wb, delta, alpha in edges:
+            shift = m * wa
+            num = {e + shift: c for e, c in values[after_a].items()}
+            shift = delta + m * wb
+            for e, c in values[after_b].items():
+                e += shift
+                num[e] = num.get(e, 0) - c
+            pushed[key] = _divide_by_binomial(num, alpha, width)
         values = pushed
-    return LaurentPoly(n, values[()])
+    return LaurentPoly(n, _unpack(values[()], width, n + 1))
 
 
 def _tower_deltas(n: int) -> set[Exponent]:
@@ -245,8 +284,25 @@ def _tower_deltas(n: int) -> set[Exponent]:
 
 
 def _sum_defined_at(pt: RationalPoint, deltas: set[Exponent]) -> bool:
-    """True iff no factor 1 - e^Delta, Delta in `deltas`, vanishes at pt."""
-    return all(evaluate_monomial(pt, delta) != 1 for delta in deltas)
+    """True iff no factor 1 - e^Delta, Delta in `deltas`, vanishes at pt.
+
+    With coordinates x_k = a_k / b_k, e^Delta = 1 iff the product of a_k^d_k
+    over d_k > 0 and b_k^-d_k over d_k < 0 equals the same product with a
+    and b swapped: one comparison of integers, with no Fraction built.
+    """
+    coords = [(x.numerator, x.denominator) for x in (pt.q, *pt.zs)]
+    for delta in deltas:
+        lhs = rhs = 1
+        for (a, b), d in zip(coords, delta):
+            if d > 0:
+                lhs *= a**d
+                rhs *= b**d
+            elif d < 0:
+                lhs *= b**-d
+                rhs *= a**-d
+        if lhs == rhs:
+            return False
+    return True
 
 
 def sample_point(n: int, rng: random.Random) -> RationalPoint:

@@ -11,6 +11,9 @@ from spflag.charring import (
     LaurentPoly,
     RationalPoint,
     _divide_by_binomial,
+    _pack,
+    _packing_width,
+    _unpack,
     eps_to_omega,
     evaluate_monomial,
     rho,
@@ -56,9 +59,53 @@ def _int_poly_strategy(nvars):
     return st.dictionaries(exps, coeffs, max_size=6)
 
 
-# Besides the positive roots: negated roots, and (q, z) exponent vectors with a
-# nonzero q-part first, as the localization walk divides.
-QZ_ALPHAS = [(1, -2), (-1, 2), (1, 0, -2), (-1, 1, 1), (1, -1, 0, -1), (-2, 1, 0, 1)]
+def _tuple_division(num, alpha):
+    """num / (1 - e^{-alpha}) on tuple exponents: the reference for the packed
+    `_divide_by_binomial`.
+
+    t is alpha's first nonzero coordinate, and a line's index is e_t //
+    alpha_t.  On each line the quotient at k is the sum of the coefficients at
+    k and above; a line that does not sum to zero raises ArithmeticError.
+    """
+    t = next(i for i, a in enumerate(alpha) if a)
+    lines = {}
+    for e, c in num.items():
+        k = e[t] // alpha[t]
+        lines.setdefault(tuple(x - k * a for x, a in zip(e, alpha)), {})[k] = c
+    quo = {}
+    for base, line in lines.items():
+        bottom = min(line)
+        total = 0
+        for k in range(max(line), bottom, -1):
+            total += line.get(k, 0)
+            if total:
+                quo[tuple(b + k * a for b, a in zip(base, alpha))] = total
+        if total + line[bottom]:
+            raise ArithmeticError(f"inexact Laurent division by 1 - e^-{alpha}")
+    return quo
+
+
+def _packed_division(num, alpha):
+    """`_divide_by_binomial` on tuple exponents, at the width for num's largest
+    coordinate."""
+    bound = max((abs(x) for e in num for x in e), default=0)
+    width = _packing_width(bound)
+    packed = {_pack(e, width): c for e, c in num.items()}
+    return _unpack(_divide_by_binomial(packed, alpha, width), width, len(alpha))
+
+
+def _times_binomial(a, alpha):
+    """a * (1 - e^{-alpha}) on tuple exponents, by LaurentPoly multiplication."""
+    num = _from_ints(a, len(alpha)) * _binomial(alpha)
+    return {e[1:]: c for e, c in num.terms.items()}
+
+
+# Besides the positive roots: negated roots, (q, z) exponent vectors with a
+# nonzero q-part first, as the localization walk divides, a vector whose
+# largest entry is not its first nonzero one, and roots and negated roots with
+# a q-part 0, so that their first nonzero coordinate is not q.
+QZ_ALPHAS = [(1, -2), (-1, 2), (1, 0, -2), (-1, 1, 1), (1, -1, 0, -1), (-2, 1, 0, 1), (0, -1, 2, 1)]
+QZ_ALPHAS += [(0, *(s * a for a in root_weight(r))) for s in (1, -1) for r in positive_roots(TypeC(2))]
 
 
 @pytest.mark.parametrize(
@@ -71,14 +118,75 @@ QZ_ALPHAS = [(1, -2), (-1, 2), (1, 0, -2), (-1, 1, 1), (1, -1, 0, -1), (-2, 1, 0
 @settings(max_examples=25, deadline=None)
 def test_divide_by_binomial_roundtrip(n, alpha, data):
     a = data.draw(_int_poly_strategy(n))
-    num = _from_ints(a, n) * _binomial(alpha)
-    assert _divide_by_binomial({e[1:]: c for e, c in num.terms.items()}, alpha) == a
+    num = _times_binomial(a, alpha)
+    assert _packed_division(num, alpha) == _tuple_division(num, alpha) == a
+
+
+@given(
+    num=_int_poly_strategy(3),
+    alpha=st.sampled_from([(1, 0, -2), (-1, 1, 1), (0, 2, 0), (0, 0, -1), (0, -1, 2)]),
+)
+@settings(max_examples=200, deadline=None)
+def test_divide_by_binomial_equals_the_tuple_division(num, alpha):
+    # Mostly inexact numerators: both raise, or both give the same quotient.
+    try:
+        want = _tuple_division(num, alpha)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            _packed_division(num, alpha)
+    else:
+        assert _packed_division(num, alpha) == want
 
 
 def test_divide_by_binomial_inexact_raises():
     # 1 + z_1 by 1 - z_1^{-2}: each term lies alone on its line.
+    for divide in (_tuple_division, _packed_division):
+        with pytest.raises(ArithmeticError):
+            divide({(0,): 1, (1,): 1}, (2,))
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 5, 8, 42, 100])
+@pytest.mark.parametrize("length", [1, 2, 4])
+def test_packing_at_the_bound(bound, length):
+    width = _packing_width(bound)
+    corners = list(product((-bound, bound), repeat=length))
+    terms = dict(zip(corners, range(1, len(corners) + 1)))
+    packed = {_pack(e, width): c for e, c in terms.items()}
+    assert len(packed) == len(terms)
+    assert _unpack(packed, width, length) == terms
+    if bound:
+        # From a corner along -alpha into the box, the line runs from +-bound
+        # to -+(bound - 2).
+        for alpha in product(range(-2, 3), repeat=length):
+            if any(alpha):
+                top = {tuple(bound if a > 0 else -bound for a in alpha): 3}
+                assert _packed_division(_times_binomial(top, alpha), alpha) == top
+    # The division forms line bases within +-(2 bound + 1): at the width no two
+    # of them pack alike, and at one bit less two do.
+    if length == 2:
+        box = list(product(range(-2 * bound - 1, 2 * bound + 2), repeat=2))
+        assert len({_pack(e, width) for e in box}) == len(box)
+        assert len({_pack(e, width - 1) for e in box}) < len(box)
+
+
+def test_one_bit_narrower_merges_two_lines():
+    # Within +-1, e and f lie alone on their lines along alpha, so e - f is
+    # no multiple of 1 - e^{-alpha}.  Their line bases (1,1,0) and (1,-3,1)
+    # differ by (0,4,-1), whose packing at width 2 is 0.
+    e, f, alpha = (1, 1, 0), (-1, -1, 1), (2, -2, 0)
+    width = _packing_width(1)
+    num = {_pack(e, width): 1, _pack(f, width): -1}
     with pytest.raises(ArithmeticError):
-        _divide_by_binomial({(0,): 1, (1,): 1}, (2,))
+        _divide_by_binomial(num, alpha, width)
+    narrow = {_pack(e, width - 1): 1, _pack(f, width - 1): -1}
+    assert _unpack(narrow, width - 1, 3) == {e: 1, f: -1}
+    assert _divide_by_binomial(narrow, alpha, width - 1)
+
+
+@pytest.mark.parametrize("alpha", [(0, 0), (3, 1), (0, -3)])
+def test_divide_by_binomial_refuses_alpha_beyond_2(alpha):
+    with pytest.raises(ValueError):
+        _divide_by_binomial({}, alpha, 4)
 
 
 def _perm_sign(p):

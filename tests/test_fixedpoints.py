@@ -1,11 +1,11 @@
 import json
 import random
 from fractions import Fraction as Q
-from itertools import islice, zip_longest
+from itertools import islice, product, zip_longest
 
 import pytest
 
-from spflag import fixedpoints
+from spflag import charring, fixedpoints
 from spflag.charring import LaurentPoly, RationalPoint, evaluate_monomial
 from spflag.cli import run
 from spflag.fixedpoints import (
@@ -318,6 +318,69 @@ def test_abl_evaluate_equals_brute_force_sum(n):
     if n == 3:
         # the sample holds points on both sides of the screen
         assert any(screened) and not all(screened)
+
+
+def _defined_by_fractions(pt, deltas):
+    """The denominator screen over Fractions: the reference for `_sum_defined_at`."""
+    return all(evaluate_monomial(pt, delta) != 1 for delta in deltas)
+
+
+def _signed_point(n, rng):
+    """A point of ratios of small integers of either sign, often equal to 1 or -1."""
+    coords = [Q(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 4)) for _ in range(n + 1)]
+    return RationalPoint(tuple(coords[:n]), coords[n])
+
+
+@pytest.mark.parametrize("n,count", [(1, 200), (2, 500), (3, 2000), (4, 300)])
+def test_integer_screen_equals_the_fraction_screen(n, count):
+    deltas = fixedpoints._tower_deltas(n)
+    rng = random.Random(n)
+    verdicts = set()
+    for draw in range(count):
+        pt = (sample_point if draw % 2 else _signed_point)(n, rng)
+        defined = fixedpoints._sum_defined_at(pt, deltas)
+        assert defined == _defined_by_fractions(pt, deltas), pt
+        verdicts.add(defined)
+    assert verdicts == {True, False}
+
+
+# Every weight that a test, a golden digest or the benchmark pushes down.
+PUSHED_WEIGHTS = [
+    *product(range(6), repeat=1),
+    *product(range(3), repeat=2),
+    (9, 9),
+    *product(range(2), repeat=3),
+    (3, 2, 1),
+    (0, 0, 2),
+    (0, 0, 0, 0),
+    *(tuple(int(k == i) for k in range(4)) for i in range(4)),
+    (0, 1, 0, 1),
+    (1, 1, 1, 1),
+    *(tuple(int(k == i) for k in range(5)) for i in range(5)),
+]
+
+
+@pytest.mark.parametrize("m_vec", PUSHED_WEIGHTS)
+def test_push_down_stays_inside_the_exponent_bound(monkeypatch, m_vec):
+    n = len(m_vec)
+    bound = fixedpoints._exponent_bound(m_vec, n)
+    width = charring._packing_width(bound)
+    real = fixedpoints._divide_by_binomial
+    seen = []
+
+    def checked(num, alpha, w):
+        assert w == width
+        quo = real(num, alpha, w)
+        for terms in (num, quo):
+            seen.extend(x for e in charring._unpack(terms, w, n + 1) for x in e)
+        return quo
+
+    monkeypatch.setattr(fixedpoints, "_divide_by_binomial", checked)
+    poly = abl_character(m_vec, n)
+    seen.extend(x for e in poly.terms for x in e)
+    assert max(map(abs, seen)) <= bound
+    monkeypatch.undo()
+    assert poly == abl_character(m_vec, n)
 
 
 def _patch_character(monkeypatch, change):

@@ -219,6 +219,11 @@ GOLDEN = {
     # sampled here hit a vanishing denominator and are skipped.
     "abl-verify --n 3 --lambda 1,1,1 --trials 20 --seed 3":
         (0, "1c16ef57059e42972526faae0f75b695c5890dc5d2e9ab8a01915fb4ca95ba80"),
+    # The largest push-down of the tests (5,415 terms), and exponents up to 27.
+    "abl-verify --n 4 --lambda 1,1,1,1 --trials 3 --seed 3":
+        (0, "d47f323467da0371fb953a96085eda9038326fc86f69bb9221fc8e50c0281b32"),
+    "abl-verify --n 2 --lambda 9,9 --trials 3 --seed 1":
+        (0, "0fc59c0a3f05e3ad7464a88db35785878ef60b84a01e2f8c44a4755732acc373"),
 }
 
 
