@@ -8,10 +8,8 @@ from .charring import (
 )
 from .polytope import (
     dimension,
-    dyck_paths,
     graded_character,
     lattice_points,
-    phi_point_embed,
     polytope_spec,
 )
 from .rootsys import (
@@ -19,10 +17,8 @@ from .rootsys import (
     TypeA,
     TypeC,
     boundary_pairs,
-    phi_embed,
     positive_roots,
     radical_pairs,
-    root_vector_matrix,
     root_weight,
 )
 
@@ -34,15 +30,11 @@ __all__ = [
     "TypeC",
     "boundary_pairs",
     "dimension",
-    "dyck_paths",
     "graded_character",
     "lattice_points",
-    "phi_embed",
-    "phi_point_embed",
     "polytope_spec",
     "positive_roots",
     "radical_pairs",
-    "root_vector_matrix",
     "root_weight",
     "weyl_character",
     "weyl_dimension",

@@ -193,11 +193,3 @@ def discrepancy_table(d: tuple[int, ...], n: int) -> list[dict]:
         {"i": i, "j": j, "b": discrepancy_b(i, j, d, n), "exceptional": (i, j) not in keep}
         for i, j in sorted(radical_pairs(d, n))
     ]
-
-
-def all_d(n: int) -> list[tuple[int, ...]]:
-    """All nonempty strictly increasing index lists in {1..n}."""
-    out: list[tuple[int, ...]] = []
-    for mask in range(1, 1 << n):
-        out.append(tuple(i + 1 for i in range(n) if mask >> i & 1))
-    return sorted(out, key=lambda t: (len(t), t))

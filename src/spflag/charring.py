@@ -175,15 +175,6 @@ class LaurentPoly:
         return self._remap(lambda e: tuple(-x if k == a + 1 else x for k, x in enumerate(e)))
 
 
-def evaluate_monomial(pt: RationalPoint, exps: Exponent) -> Fraction:
-    """Value of q^exps[0] * prod z_i^exps[i] at the point."""
-    val = pt.q ** exps[0]
-    for z, e in zip(pt.zs, exps[1:]):
-        if e:
-            val *= z**e
-    return val
-
-
 def _packing_width(bound: int) -> int:
     """Field width w of the packed exponent P(e) = sum_k e_k 2^(w k).
 

@@ -29,7 +29,6 @@ from .charring import (
     _packing_width,
     _unpack,
 )
-from .geometry import ResolutionPoint, Subspace
 from .polytope import graded_character
 from .rootsys import TypeC, index_pairs
 
@@ -63,21 +62,16 @@ def _pool(coll: Collection, i: int, j: int, n: int) -> list[int]:
     return sorted(pool)
 
 
-def iter_fixed_points(
-    n: int, label: Callable[[Pair, frozenset[int]], Any] | None = None
-) -> Iterator[Collection | list]:
-    """Yield each admissible collection in tower order.
+def iter_fixed_points(n: int, label: Callable[[Pair, frozenset[int]], Any]) -> Iterator[list]:
+    """Yield each admissible collection in tower order, as one list of labels
+    in sorted-key order, rewritten in place for the next collection.
 
     The table of `_tower(n)` is read once, so the candidate rule runs once
     per edge, not per node, into a tree of labelled branches that an explicit
-    stack walks.  With `label`, `label((i,j), S_{i,j})` is called once per tower branch and
-    each collection is yielded as one list of labels in sorted-key order,
-    rewritten in place for the next collection.  Without it, each collection
-    is a fresh dict from (i,j) to S_{i,j}.
+    stack walks; `label((i,j), S_{i,j})` is called once per tower branch.
     """
     keys = sorted(index_pairs(TypeC(n)))
     slots = {key: pos for pos, key in enumerate(keys)}
-    mark = label or (lambda key, s: s)
     # Each branch becomes (slot, label, the branches below it), last step
     # first; siblings are stored reversed so the stack pops them in order.
     below: dict[State, tuple | None] = {(): None}
@@ -85,7 +79,7 @@ def iter_fixed_points(
         slot = slots[(i, j)]
         below = {
             state: tuple(
-                (slot, mark((i, j), here), below[after]) for here, after in reversed(branches)
+                (slot, label((i, j), here), below[after]) for here, after in reversed(branches)
             )
             for state, (branches, _) in edges.items()
         }
@@ -96,15 +90,8 @@ def iter_fixed_points(
         parts[slot] = part
         if children:
             stack.extend(children)
-        elif label:
-            yield parts
         else:
-            yield dict(zip(keys, parts))
-
-
-def enumerate_fixed_points(n: int) -> list[Collection]:
-    """All admissible collections, in tower order."""
-    return list(iter_fixed_points(n))
+            yield parts
 
 
 def is_admissible(coll: Collection, n: int) -> bool:
@@ -369,11 +356,3 @@ def abl_verify(m_vec: tuple[int, ...], n: int, trials: int, seed: int) -> dict:
         "matched": convention is not None,
         "convention": convention or "direct",
     }
-
-
-def realization(coll: Collection, n: int) -> ResolutionPoint:
-    """Coordinate resolution point spanned by the indexed basis vectors."""
-    spaces = {
-        ij: Subspace.coordinate(s, 2 * n) for ij, s in coll.items()
-    }
-    return ResolutionPoint(n, tuple(range(1, n + 1)), spaces)

@@ -10,22 +10,14 @@ Coordinates are 1-indexed in the public API, matching the basis w_1..w_2n.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .rootsys import (
-    Root,
-    TypeC,
-    index_pairs,
-    positive_roots,
-    radical_pairs,
-    root_vector_matrix,
-)
+from .rootsys import TypeC, index_pairs, radical_pairs
 
 Q = Fraction
-# Rows of `rref`, `nullspace` and `Subspace`; the input builders give QMatrix.
+# Rows of `rref`, `nullspace` and `Subspace`; `fraction_rows` gives QMatrix.
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
 QMatrix = tuple[tuple[Q, ...], ...]
@@ -262,23 +254,17 @@ def is_isotropic(u: Subspace, n: int, c=None) -> bool:
     return all(form_value(rows[a], b, c) == 0 for a in range(len(rows)) for b in rows[a + 1:])
 
 
-def perp(u: Subspace, n: int, c=None) -> Subspace:
-    """Orthogonal complement for the form c (default J), of dimension
-    2n - dim u when c is nondegenerate: the kernel of the forms <row, .>."""
-    c = c if c is not None else symplectic_form(n)
-    return Subspace.kernel([_pairing(row, c) for row in u.rows], 2 * n)
-
-
 # ---------------------------------------------------------------------------
 # membership tests
 
 
 def in_sp_grass_a(u: Subspace, k: int, n: int) -> bool:
-    """Degenerate symplectic Grassmannian test: pr_{1,3}(U) is isotropic."""
+    """Degenerate symplectic Grassmannian test: pr_{1,3}(U) is isotropic, that
+    is, U is isotropic under J projected away from the middle coordinates
+    k+1..2n-k, the degenerate form J_0 with anti-diagonal 1..1, 0..0, -1..-1."""
     if u.dim != k:
         raise ValueError(f"expected a {k}-dimensional subspace, got dim {u.dim}")
-    middle = range(k + 1, 2 * n - k + 1)
-    return is_isotropic(project_away(u, middle), n)
+    return is_isotropic(u, n, _projected_form(symplectic_form(n), range(k + 1, 2 * n - k + 1)))
 
 
 @dataclass(frozen=True)
@@ -337,36 +323,6 @@ def in_resolution(p: ResolutionPoint, d: tuple[int, ...], n: int) -> bool:
         if i + j == 2 * n and not is_isotropic(v, n):
             return False
     return True
-
-
-def project_pi(p: ResolutionPoint) -> FlagPoint:
-    """Forget the off-diagonal components."""
-    return FlagPoint(p.d, tuple(p.spaces[(dl, dl)] for dl in p.d))
-
-
-def in_divisor(p: ResolutionPoint, i: int, j: int) -> bool:
-    """Membership in Z_{i,j}: the component sits on the section."""
-    n = p.n
-    if i == 1:
-        target = Subspace.coordinate([j + 1], 2 * n)
-    else:
-        target = p.spaces[(i - 1, j + 1)].sum(Subspace.coordinate([j + 1], 2 * n))
-    return p.spaces[(i, j)] == target
-
-
-def plucker_top_nonzero(u: Subspace, i: int) -> bool:
-    """Whether the Pluecker coordinate p_{1..i} does not vanish."""
-    if u.dim != i:
-        raise ValueError("dimension mismatch")
-    if i == 0:
-        return True
-    return len(rref(row[:i] for row in u.rows)) == i
-
-
-def in_open_cell(p: ResolutionPoint) -> bool:
-    return all(
-        plucker_top_nonzero(v, i) for (i, _), v in p.spaces.items()
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -447,148 +403,3 @@ def lift(flag: FlagPoint, n: int) -> ResolutionPoint:
     if not in_resolution(point, d, n):
         raise LiftError("constructed point fails the resolution conditions")
     return point
-
-
-# ---------------------------------------------------------------------------
-# involution and flat family
-
-
-def sigma_involution(spaces: list[Subspace]) -> list[Subspace]:
-    """(V_1,...,V_{2n-1}) -> (V_{2n-1}^perp,...,V_1^perp)."""
-    if not spaces:
-        raise ValueError("empty flag")
-    two_n = spaces[0].ambient
-    if len(spaces) != two_n - 1:
-        raise ValueError("expected a complete flag of 2n-1 subspaces")
-    n = two_n // 2
-    for k, v in enumerate(spaces, start=1):
-        if v.dim != k:
-            raise ValueError(f"dim V_{k} = {v.dim}")
-    return [perp(v, n) for v in reversed(spaces)]
-
-
-def flat_family_form(s, n: int, k: int) -> tuple[Q, ...]:
-    """The degenerating form J_s, by its anti-diagonal 1..1, s..s, -s..-s, -1..-1
-    (k, n-k, n-k and k entries)."""
-    if not 0 <= k <= n:
-        raise ValueError(f"k must lie in 0..{n}, got {k}")
-    s = Q(s)
-    return (Q(1),) * k + (s,) * (n - k) + (-s,) * (n - k) + (Q(-1),) * k
-
-
-def eta_matrix(s, n: int, k: int) -> QMatrix:
-    """Diagonal one-parameter subgroup scaling the middle 2(n-k) coordinates."""
-    if not 0 <= k <= n:
-        raise ValueError(f"k must lie in 0..{n}, got {k}")
-    s = Q(s)
-    diag = [Q(1)] * k + [s] * (2 * (n - k)) + [Q(1)] * k
-    return tuple(
-        tuple(diag[r] if r == c else Q(0) for c in range(2 * n)) for r in range(2 * n)
-    )
-
-
-def apply_matrix(m: QMatrix, u: Subspace) -> Subspace:
-    vecs = [
-        tuple(sum(m[r][c] * x for c, x in enumerate(row)) for r in range(len(m)))
-        for row in u.rows
-    ]
-    return Subspace.span(vecs, u.ambient)
-
-
-def isotropy_transport_check(u: Subspace, s, n: int, k: int) -> bool:
-    """U isotropic for J_1 implies eta(1/s) U isotropic for J_{s^2}."""
-    s = Q(s)
-    if s == 0:
-        raise ValueError("transport needs s != 0")
-    if not is_isotropic(u, n, flat_family_form(1, n, k)):
-        raise ValueError("input subspace is not J_1-isotropic")
-    moved = apply_matrix(eta_matrix(1 / s, n, k), u)
-    return is_isotropic(moved, n, flat_family_form(s * s, n, k))
-
-
-def j0_isotropic(u: Subspace, n: int, k: int) -> bool:
-    return is_isotropic(u, n, flat_family_form(0, n, k))
-
-
-# ---------------------------------------------------------------------------
-# random generators (open cell, isotropic subspaces)
-
-
-def sp_lower_matrix(coeffs: dict[Root, Q], n: int) -> QMatrix:
-    """Strictly lower matrix sum c_alpha f_alpha in sp_2n."""
-    m = [[Q(0)] * (2 * n) for _ in range(2 * n)]
-    for root, c in coeffs.items():
-        for r, row in enumerate(root_vector_matrix(root)):
-            for col, x in enumerate(row):
-                if x:
-                    m[r][col] += c * x
-    return tuple(tuple(row) for row in m)
-
-
-def unipotent_flag(gamma: QMatrix, d: tuple[int, ...], n: int) -> FlagPoint:
-    """Open-cell flag point: V_k is spanned by w_c + sum_{r>k} gamma_{rc} w_r."""
-    spaces = []
-    for k in d:
-        vecs = []
-        for c in range(k):
-            v = [Q(0)] * (2 * n)
-            v[c] = Q(1)
-            for r in range(k, 2 * n):
-                v[r] = Q(gamma[r][c])
-            vecs.append(tuple(v))
-        spaces.append(Subspace.span(vecs, 2 * n))
-    return FlagPoint(tuple(d), tuple(spaces))
-
-
-def random_sp_flag(d: tuple[int, ...], n: int, rng: random.Random) -> FlagPoint:
-    coeffs = {
-        r: Q(rng.randint(-9, 9), rng.randint(1, 5)) for r in positive_roots(TypeC(n))
-    }
-    return unipotent_flag(sp_lower_matrix(coeffs, n), d, n)
-
-
-def random_sl_flag(two_n: int, rng: random.Random) -> list[Subspace]:
-    """Random complete degenerate sl flag from a strictly lower matrix."""
-    if two_n % 2:
-        raise ValueError(f"ambient dimension must be even, got {two_n}")
-    gamma = [[Q(0)] * two_n for _ in range(two_n)]
-    for r in range(two_n):
-        for c in range(r):
-            gamma[r][c] = Q(rng.randint(-9, 9), rng.randint(1, 5))
-    return list(unipotent_flag(gamma, tuple(range(1, two_n)), two_n // 2).spaces)
-
-
-def random_subspace(ambient: int, k: int, rng: random.Random) -> Subspace:
-    """Random k-dimensional subspace of Q^ambient, 0 <= k <= ambient."""
-    if not 0 <= k <= ambient:
-        raise ValueError(f"no {k}-dimensional subspace of Q^{ambient}")
-    while True:
-        vecs = [
-            tuple(Q(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(ambient))
-            for _ in range(k)
-        ]
-        u = Subspace.span(vecs, ambient)
-        if u.dim == k:
-            return u
-
-
-def random_isotropic(n: int, k: int, rng: random.Random) -> Subspace:
-    """Random k-dimensional J_1-isotropic subspace of Q^{2n}, 0 <= k <= n."""
-    if not 0 <= k <= n:
-        raise ValueError(f"no {k}-dimensional isotropic subspace of Q^{2 * n}")
-    current = Subspace.zero(2 * n)
-    while current.dim < k:
-        room = perp(current, n)
-        for _ in range(50):
-            v = [0] * (2 * n)
-            for row in room.rows:
-                c = rng.randint(-5, 5)
-                if c:
-                    v = [a + c * b for a, b in zip(v, row)]
-            cand = current.sum(Subspace.span([tuple(v)], 2 * n))
-            if cand.dim == current.dim + 1 and is_isotropic(cand, n):
-                current = cand
-                break
-        else:
-            raise RuntimeError("failed to extend an isotropic subspace")
-    return current

@@ -36,12 +36,7 @@ from .rootsys import (
     weight_of,
 )
 
-DyckPath = tuple[Root, ...]
 LatticePoint = tuple[int, ...]
-
-
-class EmbeddingError(ValueError):
-    """The image of a lattice point violates a type-A inequality."""
 
 
 def _is_end(i: int, j: int, system: RootSystem) -> bool:
@@ -67,11 +62,6 @@ def _dyck_pairs(system: RootSystem) -> list[tuple[tuple[int, int], ...]]:
     for i in range(1, rank(system) + 1):
         extend([(i, i)])
     return out
-
-
-def dyck_paths(system: RootSystem) -> tuple[DyckPath, ...]:
-    """All Dyck paths of the system, in depth-first order from each start."""
-    return tuple(tuple(Root(a, b, system) for a, b in path) for path in _dyck_pairs(system))
 
 
 @dataclass(frozen=True)
@@ -179,28 +169,3 @@ def graded_character(m_vec: tuple[int, ...], system: RootSystem) -> LaurentPoly:
     steps = [(1, *(-x for x in root_weight(r))) for r in spec.roots]
     lam_eps = weight_of(spec.lam, system)
     return LaurentPoly(len(lam_eps), Counter(_points(spec, steps, (0, *lam_eps))))
-
-
-def phi_point_embed(
-    point: LatticePoint, m_vec: tuple[int, ...], n: int
-) -> tuple[LatticePoint, PolytopeSpec]:
-    """Push a type-C(n) lattice point into the type-A(2n) polytope.
-
-    The sp weight is reread as an sl_2n weight with vanishing tail.  Returns
-    the image point together with the target spec; raises EmbeddingError if
-    any type-A inequality fails (which signals an implementation bug).
-    """
-    c_roots = positive_roots(TypeC(n))
-    if len(point) != len(c_roots):
-        raise ValueError("point length does not match the type C root count")
-    lam_a = tuple(m_vec) + (0,) * (n - 1)
-    spec_a = polytope_spec(lam_a, TypeA(2 * n))
-    values = {r.pair: v for r, v in zip(c_roots, point)}
-    image = tuple(values.get(r.pair, 0) for r in spec_a.roots)
-    for support, bound in spec_a.inequalities:
-        total = sum(image[k] for k in support)
-        if total > bound:
-            raise EmbeddingError(
-                f"image violates a type-A inequality: sum {total} > bound {bound}"
-            )
-    return image, spec_a

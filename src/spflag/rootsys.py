@@ -117,31 +117,6 @@ def root_weight(r: Root) -> tuple[int, ...]:
     return tuple(w)
 
 
-def root_vector_matrix(r: Root) -> tuple[tuple[int, ...], ...]:
-    """Lowering operator f_{i,j} of sp_2n as a 2n x 2n integer matrix."""
-    if not isinstance(r.system, TypeC):
-        raise ValueError("root vector matrices are defined for type C only")
-    n = r.system.n
-    i, j = r.i, r.j
-    m = [[0] * (2 * n) for _ in range(2 * n)]
-    if j == 2 * n - i:
-        m[2 * n - i][i - 1] = 1
-    elif j < n:
-        m[j][i - 1] = 1
-        m[2 * n - i][2 * n - j - 1] = -1
-    else:
-        m[j][i - 1] = 1
-        m[2 * n - i][2 * n - j - 1] = 1
-    return tuple(tuple(row) for row in m)
-
-
-def phi_embed(r: Root) -> Root:
-    """Index-preserving embedding of a type-C(n) root into type A(2n)."""
-    if not isinstance(r.system, TypeC):
-        raise ValueError("phi_embed expects a type C root")
-    return Root(r.i, r.j, TypeA(2 * r.system.n))
-
-
 def fundamental_weight(d: int, system: RootSystem) -> tuple[int, ...]:
     """omega_d = eps_1 + ... + eps_d."""
     if not 1 <= d <= rank(system):

@@ -1,7 +1,6 @@
 import pytest
 
 from spflag.bundles import (
-    all_d,
     discrepancy_b,
     discrepancy_table,
     divisor_class,
@@ -12,6 +11,8 @@ from spflag.bundles import (
     verify_canonical_identity,
 )
 from spflag.rootsys import radical_pairs
+
+from support import all_d
 
 
 def test_divisor_class_cases_n2():

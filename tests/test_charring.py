@@ -15,12 +15,13 @@ from spflag.charring import (
     _packing_width,
     _unpack,
     eps_to_omega,
-    evaluate_monomial,
     rho,
     weyl_character,
     weyl_dimension,
 )
 from spflag.rootsys import TypeC, positive_roots, root_weight, weight_of
+
+from support import evaluate_monomial
 
 
 def poly_strategy(nvars=2):

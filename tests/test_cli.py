@@ -10,7 +10,8 @@ import pytest
 import spflag
 from spflag import cli
 from spflag.cli import run
-from spflag.fixedpoints import enumerate_fixed_points
+
+from support import fixed_points
 
 
 @pytest.fixture
@@ -281,7 +282,7 @@ def test_fixed_points_stream_equals_the_encoded_document(n, tmp_path, capture):
         "count": 2 ** (n * n),
         "collections": [
             {f"{i},{j}": sorted(s) for (i, j), s in sorted(coll.items())}
-            for coll in enumerate_fixed_points(n)
+            for coll in fixed_points(n)
         ],
     }
     expected = json.dumps(doc, indent=2)

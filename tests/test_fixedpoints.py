@@ -6,7 +6,7 @@ from itertools import islice, product, zip_longest
 import pytest
 
 from spflag import charring, fixedpoints
-from spflag.charring import LaurentPoly, RationalPoint, evaluate_monomial
+from spflag.charring import LaurentPoly, RationalPoint
 from spflag.cli import run
 from spflag.fixedpoints import (
     DenominatorZeroError,
@@ -15,25 +15,25 @@ from spflag.fixedpoints import (
     abl_numerator_weight,
     abl_verify,
     denominator_deltas,
-    enumerate_fixed_points,
     is_admissible,
-    realization,
     sample_point,
     wtq_component,
 )
 from spflag.geometry import in_resolution
 from spflag.rootsys import TypeC, index_pairs
 
+from support import evaluate_monomial, fixed_points, realization
+
 
 def test_count_n1():
-    colls = enumerate_fixed_points(1)
+    colls = list(fixed_points(1))
     assert len(colls) == 2
     assert {coll[(1, 1)] for coll in colls} == {frozenset({1}), frozenset({2})}
 
 
 @pytest.mark.parametrize("n,count", [(1, 2), (2, 16), (3, 512)])
 def test_counts(n, count):
-    colls = enumerate_fixed_points(n)
+    colls = list(fixed_points(n))
     assert len(colls) == count
     assert len({frozenset(coll.items()) for coll in colls}) == count
 
@@ -60,7 +60,7 @@ def _walk_each_node(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_iter_fixed_points_equals_the_walk_at_each_node(n):
     count = 0
-    for got, want in zip_longest(fixedpoints.iter_fixed_points(n), _walk_each_node(n)):
+    for got, want in zip_longest(fixed_points(n), _walk_each_node(n)):
         assert got == want
         count += 1
     assert count == 2 ** (n * n)
@@ -71,7 +71,7 @@ def test_labelled_walk_lists_the_components_in_sorted_key_order(n):
     keys = sorted(index_pairs(TypeC(n)))
     labelled = fixedpoints.iter_fixed_points(n, lambda key, s: s)
     count = 0
-    for parts, coll in zip_longest(labelled, fixedpoints.iter_fixed_points(n)):
+    for parts, coll in zip_longest(labelled, fixed_points(n)):
         assert parts == [coll[k] for k in keys]
         count += 1
     assert count == 2 ** (n * n)
@@ -80,7 +80,7 @@ def test_labelled_walk_lists_the_components_in_sorted_key_order(n):
 def test_iter_fixed_points_n5_prefix_equals_the_walk_at_each_node():
     # 25 levels on the explicit stack; the first 4,096 collections share
     # their first 13 components and cover every choice below them.
-    got = islice(fixedpoints.iter_fixed_points(5), 4096)
+    got = islice(fixed_points(5), 4096)
     want = islice(_walk_each_node(5), 4096)
     count = 0
     for a, b in zip_longest(got, want):
@@ -115,7 +115,7 @@ def test_pool_runs_once_per_tower_edge(monkeypatch, n, edges):
     monkeypatch.setattr(fixedpoints, "_pool", counting)
     fixedpoints._tower.cache_clear()
     try:
-        assert sum(1 for _ in fixedpoints.iter_fixed_points(n)) == 2 ** (n * n)
+        assert sum(1 for _ in fixedpoints.iter_fixed_points(n, lambda key, s: None)) == 2 ** (n * n)
         assert calls == edges
         assert sum(len(step[2]) for step in fixedpoints._tower(n)) == edges
     finally:
@@ -124,7 +124,7 @@ def test_pool_runs_once_per_tower_edge(monkeypatch, n, edges):
 
 def test_all_admissible():
     for n in (1, 2, 3):
-        for coll in enumerate_fixed_points(n):
+        for coll in fixed_points(n):
             assert is_admissible(coll, n)
 
 
@@ -140,7 +140,7 @@ def test_admissible_matches_exhaustive_coordinate_points_n2():
         pools.append([frozenset(c) for c in combinations(ambient, i)])
     admissible = {
         tuple(sorted((ij, tuple(sorted(s))) for ij, s in coll.items()))
-        for coll in enumerate_fixed_points(n)
+        for coll in fixed_points(n)
     }
     count = 0
     for assignment in product(*pools):
@@ -170,7 +170,7 @@ def test_ab_pair_generic_example():
 
 def test_ab_pair_properties():
     for n in (1, 2, 3):
-        for coll in enumerate_fixed_points(n):
+        for coll in fixed_points(n):
             for i, j in index_pairs(TypeC(n)):
                 a, b = ab_pair(coll, i, j, n)
                 assert a in coll[(i, j)]
@@ -188,7 +188,7 @@ def test_ab_pair_corrupted_collection_raises():
 def test_sibling_collections_exist():
     for n in (1, 2, 3):
         order = index_pairs(TypeC(n))
-        colls = enumerate_fixed_points(n)
+        colls = list(fixed_points(n))
 
         def key(coll, depth):
             return tuple(tuple(sorted(coll[ij])) for ij in order[:depth])
@@ -232,7 +232,7 @@ def test_unique_qdeg_zero_collection_for_regular_weight():
         lam = (1,) * n
         zero_q = [
             coll
-            for coll in enumerate_fixed_points(n)
+            for coll in fixed_points(n)
             if abl_numerator_weight(coll, lam, n)[0] == 0
         ]
         assert len(zero_q) == 1
@@ -242,7 +242,7 @@ def test_unique_qdeg_zero_collection_for_regular_weight():
 
 def test_denominator_deltas_shape():
     n = 2
-    for coll in enumerate_fixed_points(n):
+    for coll in fixed_points(n):
         deltas = denominator_deltas(coll, n)
         assert len(deltas) == n * n
 
@@ -296,7 +296,7 @@ def _brute_sum(m_vec, pt, n, colls, inverted=False):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_abl_evaluate_equals_brute_force_sum(n):
-    colls = enumerate_fixed_points(n)
+    colls = list(fixed_points(n))
     weights = [(0,) * n, (1,) * n, tuple(range(n, 0, -1)), (0,) * (n - 1) + (2,)]
     polys = {m_vec: abl_character(m_vec, n) for m_vec in weights}
     rng = random.Random(100 + n)
@@ -434,5 +434,5 @@ def test_abl_verify_zero_weight():
 def test_realizations_pass_in_resolution():
     for n in (1, 2):
         d = tuple(range(1, n + 1))
-        for coll in enumerate_fixed_points(n):
+        for coll in fixed_points(n):
             assert in_resolution(realization(coll, n), d, n)

@@ -17,8 +17,9 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spflag.bundles import all_d
 from spflag.cli import run
+
+from support import all_d
 
 fuzz = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 

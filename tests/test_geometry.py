@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spflag import geometry
-from spflag.bundles import all_d
 from spflag.geometry import (
     FlagPoint,
     LiftError,
@@ -19,34 +18,39 @@ from spflag.geometry import (
     _pairing,
     _projected_form,
     _unit_vectors,
-    apply_matrix,
-    eta_matrix,
-    flat_family_form,
     form_value,
-    in_divisor,
-    in_open_cell,
     in_resolution,
     in_sp_flag_a,
     in_sp_grass_a,
     is_isotropic,
-    isotropy_transport_check,
-    j0_isotropic,
     lift,
     nullspace,
+    project_away,
+    rref,
+    symplectic_form,
+)
+from spflag.rootsys import TypeC, index_pairs, positive_roots, radical_pairs
+
+from support import (
+    _dense,
+    all_d,
+    apply_matrix,
+    eta_matrix,
+    fixed_points,
+    flat_family_form,
+    in_divisor,
+    in_sp_grass_a_respan,
+    isotropy_transport_check,
     perp,
     plucker_top_nonzero,
-    project_away,
-    project_pi,
     random_isotropic,
     random_sl_flag,
     random_sp_flag,
     random_subspace,
-    rref,
+    realization,
     sigma_involution,
     sp_lower_matrix,
-    symplectic_form,
 )
-from spflag.rootsys import TypeC, index_pairs, positive_roots, radical_pairs
 
 
 def w(ambient, *ls):
@@ -65,14 +69,6 @@ def mat_mul(a, b):
 
 def mat_transpose(a):
     return tuple(zip(*a))
-
-
-def _dense(c):
-    """The 2n x 2n matrix of the form with anti-diagonal c."""
-    size = len(c)
-    return tuple(
-        tuple(c[r] if r + col == size - 1 else 0 for col in range(size)) for r in range(size)
-    )
 
 
 def _dense_form_value(u, v, j_mat):
@@ -457,7 +453,7 @@ def test_in_resolution_shape_mismatch():
 def test_lift_coordinate_flag():
     flag = FlagPoint((1, 2), (w(4, 1), w(4, 1, 2)))
     res = lift(flag, 2)
-    assert project_pi(res).spaces == flag.spaces
+    assert tuple(res.spaces[dl, dl] for dl in res.d) == flag.spaces
     assert all(v == w(4, *range(1, i + 1)) for (i, _), v in res.spaces.items())
 
 
@@ -470,9 +466,9 @@ def test_lift_round_trip_random(n):
             assert in_sp_flag_a(flag, n)
             res = lift(flag, n)
             assert in_resolution(res, d, n)
-            back = project_pi(res)
-            assert back.d == flag.d and back.spaces == flag.spaces
-            assert in_open_cell(res)
+            back = tuple(res.spaces[dl, dl] for dl in res.d)
+            assert res.d == flag.d and back == flag.spaces
+            assert all(plucker_top_nonzero(v, i) for (i, _), v in res.spaces.items())
 
 
 def test_extend_choice_takes_the_least_fraction_rref():
@@ -511,10 +507,11 @@ def test_lift_iff_member_on_coordinate_flags(n, members):
             flag = FlagPoint(d, tuple(w(2 * n, *s) for s in sets))
             member = in_sp_flag_a(flag, n)
             try:
-                back = project_pi(lift(flag, n))
+                res = lift(flag, n)
             except LiftError:
                 assert not member, (d, sets)
             else:
+                back = FlagPoint(res.d, tuple(res.spaces[dl, dl] for dl in res.d))
                 assert member and back == flag, (d, sets)
             count += member
     assert count == members
@@ -558,10 +555,11 @@ def test_lift_iff_member_on_orbit_points(n, per_d):
             flag = _orbit_point(sets, d, n, rng)
             member = in_sp_flag_a(flag, n)
             try:
-                back = project_pi(lift(flag, n))
+                res = lift(flag, n)
             except LiftError:
                 assert not member, (d, sets)
             else:
+                back = FlagPoint(res.d, tuple(res.spaces[dl, dl] for dl in res.d))
                 assert member and back == flag, (d, sets)
             outcomes.add(member)
     assert outcomes == {True, False}
@@ -616,6 +614,29 @@ def test_in_resolution_makes_no_rref_call(monkeypatch):
     assert calls == []
 
 
+def test_in_sp_flag_a_makes_no_rref_call(monkeypatch):
+    # The Grassmannian test reads U's rows under the degenerate form J_0, so
+    # no projected subspace is re-spanned; members and non-members alike.
+    rng = random.Random(13)
+    flags = [(random_sp_flag(d, n, rng), n) for n in (2, 3) for d in all_d(n)]
+    flags += [
+        (FlagPoint(d, tuple(w(4, *s) for s in sets)), 2)
+        for d in all_d(2)
+        for sets in product(*(combinations(range(1, 5), k) for k in d))
+    ]
+    calls = []
+    rref = geometry.rref
+
+    def counted_rref(rows):
+        calls.append(1)
+        return rref(rows)
+
+    monkeypatch.setattr(geometry, "rref", counted_rref)
+    verdicts = {in_sp_flag_a(flag, n) for flag, n in flags}
+    assert verdicts == {False, True}
+    assert calls == []
+
+
 def test_lift_makes_a_pinned_number_of_rref_calls(monkeypatch):
     # The Fraction elimination made 423 rref calls on these lifts; keeping
     # each subspace's rows in integer form adds none.
@@ -665,17 +686,12 @@ def test_lift_calls_kernel_only_to_choose(monkeypatch):
 
 
 def test_plucker_criterion_on_coordinate_points():
-    from spflag.fixedpoints import enumerate_fixed_points, realization
-
     n = 2
-    for coll in enumerate_fixed_points(n):
+    for coll in fixed_points(n):
         point = realization(coll, n)
-        open_cell = in_open_cell(point)
+        open_cell = all(plucker_top_nonzero(v, i) for (i, _), v in point.spaces.items())
         hits_divisor = any(in_divisor(point, i, j) for (i, j) in point.spaces)
         assert open_cell == (not hits_divisor)
-        assert open_cell == all(
-            plucker_top_nonzero(v, i) for (i, _), v in point.spaces.items()
-        )
 
 
 def test_random_open_cell_avoids_divisors():
@@ -683,7 +699,7 @@ def test_random_open_cell_avoids_divisors():
     for _ in range(10):
         flag = random_sp_flag((1, 2), 2, rng)
         res = lift(flag, 2)
-        assert in_open_cell(res)
+        assert all(plucker_top_nonzero(v, i) for (i, _), v in res.spaces.items())
         assert not any(in_divisor(res, i, j) for (i, j) in res.spaces)
 
 
@@ -772,9 +788,24 @@ def test_transport_check_random():
 
 
 def test_j0_isotropy_is_grass_membership():
+    # in_sp_grass_a tests U under the degenerate form J_0 of the flat family;
+    # the reference re-spans pr_{1,3}(U) and tests it under J.  Random spaces
+    # mostly fail, isotropic ones and open-cell flag spaces pass.
     rng = random.Random(41)
+    spaces = []
     for _ in range(30):
         n = rng.randint(1, 3)
         k = rng.randint(1, n)
-        u = random_subspace(2 * n, k, rng)
-        assert j0_isotropic(u, n, k) == in_sp_grass_a(u, k, n)
+        spaces.append((random_subspace(2 * n, k, rng), k, n))
+    for n in (1, 2, 3, 4):
+        for k in range(1, n + 1):
+            spaces.append((random_isotropic(n, k, rng), k, n))
+        for d in all_d(n):
+            spaces += [(v, k, n) for k, v in zip(d, random_sp_flag(d, n, rng).spaces)]
+    verdicts = set()
+    for u, k, n in spaces:
+        member = in_sp_grass_a(u, k, n)
+        assert member == is_isotropic(u, n, flat_family_form(0, n, k))
+        assert member == in_sp_grass_a_respan(u, k, n)
+        verdicts.add(member)
+    assert verdicts == {False, True}

@@ -7,16 +7,16 @@ import pytest
 
 from spflag.charring import LaurentPoly, weyl_character, weyl_dimension
 from spflag.polytope import (
-    EmbeddingError,
+    _dyck_pairs,
     _walk,
     dimension,
-    dyck_paths,
     graded_character,
     lattice_points,
-    phi_point_embed,
     polytope_spec,
 )
 from spflag.rootsys import TypeA, TypeC, positive_roots, rank, root_weight, weight_of
+
+from support import EmbeddingError, phi_point_embed
 
 # The weights of the benchmark's `characters` workload, at n = 3 and 4.
 CHARACTERS_WEIGHTS = [
@@ -27,7 +27,7 @@ CHARACTERS_WEIGHTS = [
 
 
 def path_pairs(system):
-    return {tuple(r.pair for r in p) for p in dyck_paths(system)}
+    return set(_dyck_pairs(system))
 
 
 def test_dyck_paths_c1():
@@ -53,9 +53,9 @@ def test_dyck_paths_a3():
 
 def test_dyck_path_steps_valid():
     for system in (TypeC(3), TypeA(4)):
-        for path in dyck_paths(system):
-            for a, b in zip(path, path[1:]):
-                assert b.pair in ((a.i, a.j + 1), (a.i + 1, a.j))
+        for path in _dyck_pairs(system):
+            for (p, q), step in zip(path, path[1:]):
+                assert step in ((p, q + 1), (p + 1, q))
 
 
 def test_polytope_spec_c2_omega1():
@@ -366,6 +366,6 @@ def test_phi_point_embed_rejects_bad_point():
 def test_every_root_is_covered_by_a_path():
     for system in (TypeC(2), TypeC(3), TypeA(4), TypeA(6)):
         covered = set()
-        for p in dyck_paths(system):
-            covered.update(r.pair for r in p)
+        for p in _dyck_pairs(system):
+            covered.update(p)
         assert covered == {r.pair for r in positive_roots(system)}

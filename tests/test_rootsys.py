@@ -9,13 +9,13 @@ from spflag.rootsys import (
     fundamental_weight,
     index_pairs,
     pairing,
-    phi_embed,
     positive_roots,
     radical_pairs,
-    root_vector_matrix,
     root_weight,
     weight_of,
 )
+
+from support import _dense, root_vector_matrix
 
 
 def pairs(system):
@@ -97,14 +97,6 @@ def test_root_vector_matrix_examples():
     assert root_vector_matrix(Root(1, 2, TypeC(2))) == add(e(3, 1, 4), e(4, 2, 4), 1)
 
 
-def _dense(c):
-    """The 2n x 2n matrix of the form with anti-diagonal c."""
-    size = len(c)
-    return tuple(
-        tuple(c[r] if r + col == size - 1 else 0 for col in range(size)) for r in range(size)
-    )
-
-
 @pytest.mark.parametrize("n", range(1, 6))
 def test_root_vectors_in_sp(n):
     j = _dense(symplectic_form(n))
@@ -120,13 +112,12 @@ def test_root_vectors_in_sp(n):
 
 
 def test_phi_embed():
+    # The index-preserving embedding of C(n) roots into A(2n): every type-C
+    # index pair is a type-A(2n) root.
     c2 = TypeC(2)
-    images = {phi_embed(r) for r in positive_roots(c2)}
+    images = {Root(r.i, r.j, TypeA(4)) for r in positive_roots(c2)}
     assert len(images) == 4
-    for r in positive_roots(c2):
-        img = phi_embed(r)
-        assert (img.i, img.j) == (r.i, r.j)
-        assert img.system == TypeA(4)
+    assert {img.pair for img in images} == {r.pair for r in positive_roots(c2)}
 
 
 def test_weights_of_lambda():
