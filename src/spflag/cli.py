@@ -20,7 +20,7 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from . import bundles, charring, fixedpoints, geometry, polytope
-from .rootsys import RootSystem, TypeA, TypeC, check_d, rank
+from .rootsys import RootSystem, TypeA, TypeC, check_d, index_pairs, rank
 
 SOFT_LIMIT = 4
 # An integer in argv: an optionally signed run of ASCII digits.
@@ -29,6 +29,8 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(_INTEGER.pattern + r"(/[0-9]+)?")
 # Every JSON document goes out in this layout; docs/formats.md specifies it.
 _JSON = json.JSONEncoder(indent=2)
+# Collections per chunk of the `fixed-points` text: ~180 KB at n = 4.
+_BATCH = 256
 
 
 class UsageError(Exception):
@@ -120,8 +122,8 @@ Output = tuple[int, Iterable[str]]
 
 def _document(head: dict, key: str, body: Iterable[str]) -> Iterator[str]:
     """The indented JSON of `head` with one more member, the array `key`,
-    last.  `body` yields the array's elements as text at depth 2, each one
-    starting with "\n" or ",\n"; it must yield at least one."""
+    last.  `body` yields the array's text at depth 2 in pieces, the first
+    starting with "\n" and the others with ","; it must yield at least one."""
     yield f'{_JSON.encode(head)[:-2]},\n  "{key}": ['
     yield from body
     yield "\n  ]\n}"
@@ -181,38 +183,33 @@ def cmd_polytope(args) -> Output:
 
 
 def _collections(n: int) -> Iterator[str]:
-    """The `collections` of the `fixed-points` document, two chunks each.
+    """The `collections` of the `fixed-points` document, one chunk per
+    `_BATCH` collections.
 
-    The tower walk builds the text of a component once per tower branch and
-    carries it down; a collection is the join of its components' text, cut
-    after its middle component.  The second chunk is the same str object
-    while its components are unchanged: at n = 4 the walk's three deepest
-    steps are in the first half, so it changes every 8 collections.
-
-    At n = 4 each chunk is a str of at most 512 bytes, which Python's
-    small-object allocator serves.  A consumer that keeps every chunk, as
-    io.StringIO does, then holds them in arenas freed whole; 65,536 whole
-    collections took ~48 MB of the C heap instead, and whether a later 44 MB
-    allocation could reuse that space depended on what else had landed in it,
-    so the peak RSS of such a process moved by 43 MB from run to run.
+    The tower walk builds each component's label once per tower branch and
+    carries it down: the component's text with its separator in front, the
+    first key's also opening its collection and the last key's closing it.
+    A collection is then its labels appended to the batch, and a chunk is the
+    join of a batch, the first without its leading comma.
     """
+    keys = sorted(index_pairs(TypeC(n)))
 
     def component(key: tuple[int, int], s: frozenset[int]) -> str:
         values = json.dumps(sorted(s), indent=2).replace("\n", "\n      ")
-        return f'      "{key[0]},{key[1]}": {values}'
+        opening = "    {\n" if key == keys[0] else ""
+        closing = "\n    }" if key == keys[-1] else ""
+        return f',\n{opening}      "{key[0]},{key[1]}": {values}{closing}'
 
     count = 2 ** (n * n)
-    half = n * n // 2  # of the n^2 components; none at n = 1
-    joint = ",\n" if half else ""
     written = 0
-    tail: list[str] | None = None
+    batch: list[str] = []
     for parts in fixedpoints.iter_fixed_points(n, component):
-        yield (",\n" if written else "\n") + "    {\n" + ",\n".join(parts[:half])
-        if parts[half:] != tail:
-            tail = parts[half:]
-            closing = joint + ",\n".join(tail) + "\n    }"
-        yield closing
+        batch += parts
         written += 1
+        if written % _BATCH == 0 or written == count:
+            text = "".join(batch)
+            yield text[1:] if written <= _BATCH else text
+            batch = []
     if written != count:
         raise RuntimeError(f"the tower walk gave {written} collections, not {count}")
 

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from spflag import cli
 from spflag.cli import run
 
 from support import fixed_points
+from test_golden import GOLDEN
 
 
 @pytest.fixture
@@ -276,6 +278,10 @@ def test_unwritable_usage_error_line_still_exits_2():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_fixed_points_stream_equals_the_encoded_document(n, tmp_path, capture):
+    # With `cli._BATCH` = 256 collections a chunk, n = 1 and 2 write one
+    # partial batch, and n = 1 has one key, whose text both opens and closes
+    # its collection; n = 3 (and n = 4 in the golden digests) write only
+    # whole batches.
     doc = {
         "command": "fixed-points",
         "n": n,
@@ -292,20 +298,23 @@ def test_fixed_points_stream_equals_the_encoded_document(n, tmp_path, capture):
     assert target.read_bytes() == expected.encode()
 
 
-def test_fixed_points_n4_chunks_are_small_objects():
-    # Each chunk of the collections is at most 512 bytes, the largest object
-    # Python's small-object allocator serves, and the closing half of a
-    # collection is the same object while it is unchanged.
+def test_fixed_points_n4_chunks_are_whole_batches_of_collections():
+    # One chunk per batch of collections; each chunk after the first opens a
+    # collection after the separator, and the first opens the array.
     chunks = list(cli._collections(4))
-    assert len(chunks) == 2 * 2**16
-    assert max(map(sys.getsizeof, chunks)) <= 512
-    assert len({id(c) for c in chunks[1::2]}) == 2**16 // 8
+    assert len(chunks) == -(-(2**16) // cli._BATCH)
+    assert chunks[0].startswith("\n    {\n")
+    assert all(c.startswith(",\n    {\n") for c in chunks[1:])
+    head = {"command": "fixed-points", "n": 4, "count": 2**16}
+    text = "".join(cli._document(head, "collections", chunks))
+    assert hashlib.sha256((text + "\n").encode()).hexdigest() == GOLDEN["fixed-points --n 4"][1]
 
 
 @pytest.mark.parametrize("count", [False, True], ids=["output", "count"])
 def test_fixed_points_n4_memory_stays_small(count, tmp_path, capsys):
     # Streaming keeps no collection alive after it is written or counted.
-    out = ["--count"] if count else ["--output", str(tmp_path / "out.json")]
+    target = tmp_path / "out.json"
+    out = ["--count"] if count else ["--output", str(target)]
     tracemalloc.start()
     try:
         rc = run(["fixed-points", "--n", "4"] + out)
@@ -314,6 +323,10 @@ def test_fixed_points_n4_memory_stays_small(count, tmp_path, capsys):
         tracemalloc.stop()
     capsys.readouterr()
     assert rc == 0 and peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    if not count:
+        # The file is stdout without its final newline.
+        digest = hashlib.sha256(target.read_bytes() + b"\n").hexdigest()
+        assert digest == GOLDEN["fixed-points --n 4"][1]
 
 
 OMEGA_1 = ["--lambda", "1,0,0,0,0"]
