@@ -8,19 +8,12 @@ The Weyl dimension is the product formula.  The Weyl character comes from
 Freudenthal's recursion over the dominant weights below the highest weight,
 read from the root system and the inner product alone; every division in it
 is exact, and a non-integral or non-positive quotient raises ArithmeticError.
-The localization push-down packs each exponent e into one int,
-P(e) = sum_k e_k 2^(w k) with signed digits (`_pack`), at the least width w
-that keeps every vector it forms apart (`_packing_width`); a shift is then one
-int addition, and the exact division by 1 - e^{-alpha} (`_divide_by_binomial`)
-runs on packed exponents.  `_unpack` turns them back into tuples once, at the
-end, so a LaurentPoly is keyed by tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import permutations, product
 from math import prod
 
@@ -173,85 +166,6 @@ class LaurentPoly:
     def flip_var(self, a: int) -> "LaurentPoly":
         """Substitute z_{a+1} -> z_{a+1}^{-1}."""
         return self._remap(lambda e: tuple(-x if k == a + 1 else x for k, x in enumerate(e)))
-
-
-def _packing_width(bound: int) -> int:
-    """Field width w of the packed exponent P(e) = sum_k e_k 2^(w k).
-
-    `_divide_by_binomial` forms the exponents, each coordinate within
-    +-bound, and line bases, each coordinate within +-(2 bound + 1).  P is
-    injective on the vectors with coordinates within +-r exactly when
-    2^w > 2r, so w is the least width with 2^w > 2 (2 bound + 1); then
-    2^(w-1) > bound too, the bias at which every digit of an exponent reads
-    back.
-    """
-    return (4 * bound + 2).bit_length()
-
-
-def _pack(e: Exponent, width: int) -> int:
-    """P(e) = sum_k e_k 2^(width k), with signed digits; P is linear."""
-    return sum(x << (width * k) for k, x in enumerate(e))
-
-
-def _unpack(terms: dict[int, int], width: int, length: int) -> dict[Exponent, int]:
-    """The terms keyed by exponents e of `length` coordinates in place of P(e).
-
-    Each coordinate must lie within +-(2^(width-1) - 1): it is one digit of
-    P(e) + P(bias, .., bias) read by shift and mask, less the bias 2^(width-1).
-    """
-    bias = 1 << (width - 1)
-    mask = (1 << width) - 1
-    offset = _pack((bias,) * length, width)
-    shifts = range(0, width * length, width)
-    return {tuple((x + offset >> s & mask) - bias for s in shifts): c for x, c in terms.items()}
-
-
-@cache
-def _line_reader(alpha: Exponent, width: int) -> tuple[int, int, int, int, int, int]:
-    """For `_divide_by_binomial`: P(alpha), alpha_t, and the offset, shift,
-    mask and bias that read digit t of a packed exponent.  Raises ValueError
-    unless alpha is nonzero with entries within +-2."""
-    top = max(map(abs, alpha))
-    if not 0 < top <= 2:
-        raise ValueError(f"cannot divide by 1 - e^-{alpha}")
-    t = next(k for k, a in enumerate(alpha) if abs(a) == top)
-    bias = 1 << (width - 1)
-    return _pack(alpha, width), alpha[t], _pack((bias,) * (t + 1), width), width * t, (1 << width) - 1, bias
-
-
-def _divide_by_binomial(num: dict[int, int], alpha: Exponent, width: int) -> dict[int, int]:
-    """Exact quotient num / (1 - e^{-alpha}) of integer Laurent polynomials
-    whose exponents are packed by `_pack` at `width`.
-
-    alpha is a nonzero exponent tuple with entries within +-2, of either
-    sign, and width is `_packing_width(bound)` for a bound on every
-    coordinate of num's exponents.  The terms fall on lines e + k*alpha.
-    With t the first coordinate at which |alpha_t| is largest, the line
-    index is k = e_t // alpha_t, e_t being one digit of e read by shift and
-    mask with the bias added.  The line base e - k*alpha is one int
-    subtraction, and its coordinates stay within +-(2 bound + 1), where P is
-    injective.  On each line the quotient at k is the sum of the
-    coefficients at k and above, so it is one running sum from the top of
-    the line down; it lies between the line's ends, so within the bound.
-    The division is exact iff every line sums to zero; otherwise this raises
-    ArithmeticError.
-    """
-    step, at, biased, shift, mask, bias = _line_reader(alpha, width)
-    lines: dict[int, dict[int, int]] = {}
-    for e, c in num.items():
-        k = ((e + biased >> shift & mask) - bias) // at
-        lines.setdefault(e - k * step, {})[k] = c
-    quo: dict[int, int] = {}
-    for base, line in lines.items():
-        bottom = min(line)
-        total = 0
-        for k in range(max(line), bottom, -1):
-            total += line.get(k, 0)
-            if total:
-                quo[base + k * step] = total
-        if total + line[bottom]:
-            raise ArithmeticError(f"inexact Laurent division by 1 - e^-{alpha}")
-    return quo
 
 
 def rho(n: int) -> tuple[int, ...]:

@@ -5,11 +5,19 @@ S_{i,j} inside {1..i, j+1..2n} of size i, nested along columns, compatible
 with the projections, and self-paired-free on the anti-diagonal.  There are
 exactly two choices at every step of the tower, so 2^(n^2) collections.
 
-`_tower(n)` is the one description of that tower: `iter_fixed_points` walks
+`_tower(n)` is the one description of that tower, a table whose steps are
+listed last first and whose states are numbered: `iter_fixed_points` walks
 it and `abl_character` pushes the localization sum down it, read once per
-(n, width) into `_packed_tower` with each edge's shifts packed.  `ab_pair`,
+(n, width) into `_packed_tower` with each row's shifts packed.  `ab_pair`,
 `denominator_deltas`, `abl_numerator_weight` and `is_admissible` check one
 collection on its own, the reference the tests compare the tower against.
+
+The push-down packs each exponent e into one int, P(e) = sum_k e_k 2^(w k)
+with signed digits (`_pack`), at the least width w that keeps every vector it
+forms apart (`_packing_width`) given the bound `_exponent_bound`; a shift is
+then one int addition, and the exact division by 1 - e^{-alpha}
+(`_divide_by_binomial`) runs on packed exponents.  `_unpack` turns them back
+into tuples once, at the end, so a LaurentPoly is keyed by tuples.
 """
 
 from __future__ import annotations
@@ -20,21 +28,12 @@ from fractions import Fraction
 from functools import cache
 from typing import Any
 
-from .charring import (
-    Exponent,
-    LaurentPoly,
-    RationalPoint,
-    _divide_by_binomial,
-    _pack,
-    _packing_width,
-    _unpack,
-)
+from .charring import Exponent, LaurentPoly, RationalPoint
 from .polytope import graded_character
 from .rootsys import TypeC, index_pairs
 
 Pair = tuple[int, int]
 Collection = dict[Pair, frozenset[int]]
-State = tuple[frozenset[int], ...]  # the live components before a tower step
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17)
 
@@ -72,19 +71,18 @@ def iter_fixed_points(n: int, label: Callable[[Pair, frozenset[int]], Any]) -> I
     """
     keys = sorted(index_pairs(TypeC(n)))
     slots = {key: pos for pos, key in enumerate(keys)}
-    # Each branch becomes (slot, label, the branches below it), last step
-    # first; siblings are stored reversed so the stack pops them in order.
-    below: dict[State, tuple | None] = {(): None}
-    for i, j, edges in reversed(_tower(n)):
+    # Row k of a step becomes the pair of branches (slot, label, the branches
+    # below it) of state k, b first so the stack pops a first.
+    below: list = [None]
+    for i, j, rows in _tower(n):
         slot = slots[(i, j)]
-        below = {
-            state: tuple(
-                (slot, label((i, j), here), below[after]) for here, after in reversed(branches)
-            )
-            for state, (branches, _) in edges.items()
-        }
+        below = [
+            ((slot, label((i, j), here_b), below[after_b]),
+             (slot, label((i, j), here_a), below[after_a]))
+            for here_a, after_a, here_b, after_b, _ in rows
+        ]
     parts: list = [None] * len(keys)
-    stack = list(below[()])
+    stack = list(below[0])
     while stack:
         slot, part, children = stack.pop()
         parts[slot] = part
@@ -170,14 +168,17 @@ def _delta(a: int, b: int, i: int, n: int) -> Exponent:
 
 
 @cache
-def _tower(n: int) -> tuple[tuple[int, int, dict], ...]:
+def _tower(n: int) -> tuple[tuple[int, int, tuple], ...]:
     """The fixed-point tower: one forward pass in `index_pairs` order, and the
     only place that applies the candidate rule `_pool` to build collections.
 
     A state before a step holds the live components, those a later step still
-    reads through `_pool`.  Step (i,j) is `(i, j, {state: (branches, Delta)})`
-    with one edge per distinct state: its branch (S_{i,j}, state after) for a
-    and for b, and Delta(a,b).
+    reads through `_pool`, and the distinct states before a step are numbered
+    from 0 in the order they are reached.  The steps are listed last first:
+    step (i,j) is `(i, j, rows)`, and row k is state k's edge
+    `(S_{i,j} for a, state after a, S_{i,j} for b, state after b, Delta(a,b))`.
+    A state after is a row number of the step listed just before, and 0 after
+    the last step; the last-listed step has one row, for the empty state.
     """
     order = index_pairs(TypeC(n))
     last_read: dict[Pair, int] = {}
@@ -185,24 +186,26 @@ def _tower(n: int) -> tuple[tuple[int, int, dict], ...]:
         last_read[(i - 1, j)] = pos
         if i + j < 2 * n:
             last_read[(i, j + 1)] = pos
+    State = tuple[frozenset[int], ...]  # the live components before a step
     steps = []
-    keys: dict[State, None] = {(): None}
+    numbers: dict[State, int] = {(): 0}
     live: list[Pair] = []
     for pos, (i, j) in enumerate(order):
         after = [p for p in live + [(i, j)] if last_read.get(p, -1) > pos]
-        edges = {}
-        for key in keys:
+        following: dict[State, int] = {}
+        rows = []
+        for key in numbers:
             coll = dict(zip(live, key))
             prev = coll.get((i - 1, j), frozenset())
             a, b = _pool(coll, i, j, n)
-            branches = []
+            branches: list = []
             for x in (a, b):
                 here = coll[(i, j)] = prev | {x}
-                branches.append((here, tuple(coll[p] for p in after)))
-            edges[key] = (tuple(branches), _delta(a, b, i, n))
-        steps.append((i, j, edges))
-        keys, live = dict.fromkeys(s for branches, _ in edges.values() for _, s in branches), after
-    return tuple(steps)
+                branches += here, following.setdefault(tuple(coll[p] for p in after), len(following))
+            rows.append((*branches, _delta(a, b, i, n)))
+        steps.append((i, j, tuple(rows)))
+        numbers, live = following, after
+    return tuple(reversed(steps))
 
 
 def _exponent_bound(m_vec: tuple[int, ...], n: int) -> int:
@@ -218,21 +221,100 @@ def _exponent_bound(m_vec: tuple[int, ...], n: int) -> int:
     return sum(i * m for i, m in enumerate(m_vec, start=1)) + 2 * n * n
 
 
+def _packing_width(bound: int) -> int:
+    """Field width w of the packed exponent P(e) = sum_k e_k 2^(w k).
+
+    `_divide_by_binomial` forms the exponents, each coordinate within
+    +-bound, and line bases, each coordinate within +-(2 bound + 1).  P is
+    injective on the vectors with coordinates within +-r exactly when
+    2^w > 2r, so w is the least width with 2^w > 2 (2 bound + 1); then
+    2^(w-1) > bound too, the bias at which every digit of an exponent reads
+    back.
+    """
+    return (4 * bound + 2).bit_length()
+
+
+def _pack(e: Exponent, width: int) -> int:
+    """P(e) = sum_k e_k 2^(width k), with signed digits; P is linear."""
+    return sum(x << (width * k) for k, x in enumerate(e))
+
+
+def _unpack(terms: dict[int, int], width: int, length: int) -> dict[Exponent, int]:
+    """The terms keyed by exponents e of `length` coordinates in place of P(e).
+
+    Each coordinate must lie within +-(2^(width-1) - 1): it is one digit of
+    P(e) + P(bias, .., bias) read by shift and mask, less the bias 2^(width-1).
+    """
+    bias = 1 << (width - 1)
+    mask = (1 << width) - 1
+    offset = _pack((bias,) * length, width)
+    shifts = range(0, width * length, width)
+    return {tuple((x + offset >> s & mask) - bias for s in shifts): c for x, c in terms.items()}
+
+
+@cache
+def _line_reader(alpha: Exponent, width: int) -> tuple[int, int, int, int, int, int]:
+    """For `_divide_by_binomial`: P(alpha), alpha_t, and the offset, shift,
+    mask and bias that read digit t of a packed exponent.  Raises ValueError
+    unless alpha is nonzero with entries within +-2."""
+    top = max(map(abs, alpha))
+    if not 0 < top <= 2:
+        raise ValueError(f"cannot divide by 1 - e^-{alpha}")
+    t = next(k for k, a in enumerate(alpha) if abs(a) == top)
+    bias = 1 << (width - 1)
+    return _pack(alpha, width), alpha[t], _pack((bias,) * (t + 1), width), width * t, (1 << width) - 1, bias
+
+
+def _divide_by_binomial(num: dict[int, int], alpha: Exponent, width: int) -> dict[int, int]:
+    """Exact quotient num / (1 - e^{-alpha}) of integer Laurent polynomials
+    whose exponents are packed by `_pack` at `width`.
+
+    alpha is a nonzero exponent tuple with entries within +-2, of either
+    sign, and width is `_packing_width(bound)` for a bound on every
+    coordinate of num's exponents.  The terms fall on lines e + k*alpha.
+    With t the first coordinate at which |alpha_t| is largest, the line
+    index is k = e_t // alpha_t, e_t being one digit of e read by shift and
+    mask with the bias added.  The line base e - k*alpha is one int
+    subtraction, and its coordinates stay within +-(2 bound + 1), where P is
+    injective.  On each line the quotient at k is the sum of the
+    coefficients at k and above, so it is one running sum from the top of
+    the line down; it lies between the line's ends, so within the bound.
+    The division is exact iff every line sums to zero; otherwise this raises
+    ArithmeticError.
+    """
+    step, at, biased, shift, mask, bias = _line_reader(alpha, width)
+    lines: dict[int, dict[int, int]] = {}
+    for e, c in num.items():
+        k = ((e + biased >> shift & mask) - bias) // at
+        lines.setdefault(e - k * step, {})[k] = c
+    quo: dict[int, int] = {}
+    for base, line in lines.items():
+        bottom = min(line)
+        total = 0
+        for k in range(max(line), bottom, -1):
+            total += line.get(k, 0)
+            if total:
+                quo[base + k * step] = total
+        if total + line[bottom]:
+            raise ArithmeticError(f"inexact Laurent division by 1 - e^-{alpha}")
+    return quo
+
+
 @cache
 def _packed_tower(n: int, width: int) -> tuple[tuple[int, tuple], ...]:
-    """`_tower(n)` last step first, with each edge's shifts packed at `width`.
+    """`_tower(n)` with each row's shifts packed at `width`.
 
-    Step (i,j) becomes `(i if i == j else 0, edges)`, one edge
-    `(state, after a, after b, P(wtq(S_ii)) for a, for b, P(Delta), -Delta)`
-    per state; the wtq parts are 0 off the diagonal.
+    Step (i,j) becomes `(i if i == j else 0, rows)`, row k
+    `(after a, after b, P(wtq(S_ii)) for a, for b, P(Delta), -Delta)`; the
+    wtq parts are 0 off the diagonal.
     """
     packed = []
-    for i, j, edges in reversed(_tower(n)):
-        rows = []
-        for key, (((here_a, after_a), (here_b, after_b)), delta) in edges.items():
+    for i, j, rows in _tower(n):
+        packed_rows = []
+        for here_a, after_a, here_b, after_b, delta in rows:
             wa, wb = (_pack(wtq_component(here, i, n), width) if i == j else 0 for here in (here_a, here_b))
-            rows.append((key, after_a, after_b, wa, wb, _pack(delta, width), tuple(-d for d in delta)))
-        packed.append((i if i == j else 0, tuple(rows)))
+            packed_rows.append((after_a, after_b, wa, wb, _pack(delta, width), tuple(-d for d in delta)))
+        packed.append((i if i == j else 0, tuple(packed_rows)))
     return tuple(packed)
 
 
@@ -249,25 +331,25 @@ def abl_character(m_vec: tuple[int, ...], n: int) -> LaurentPoly:
     a shift is one int addition; the terms are unpacked once, at the end.
     """
     width = _packing_width(_exponent_bound(m_vec, n))
-    values: dict[State, dict[int, int]] = {(): {0: 1}}
-    for i, edges in _packed_tower(n, width):
+    values: list[dict[int, int]] = [{0: 1}]
+    for i, rows in _packed_tower(n, width):
         m = m_vec[i - 1] if i else 0
-        pushed = {}
-        for key, after_a, after_b, wa, wb, delta, alpha in edges:
+        pushed = []
+        for after_a, after_b, wa, wb, delta, alpha in rows:
             shift = m * wa
             num = {e + shift: c for e, c in values[after_a].items()}
             shift = delta + m * wb
             for e, c in values[after_b].items():
                 e += shift
                 num[e] = num.get(e, 0) - c
-            pushed[key] = _divide_by_binomial(num, alpha, width)
+            pushed.append(_divide_by_binomial(num, alpha, width))
         values = pushed
-    return LaurentPoly(n, _unpack(values[()], width, n + 1))
+    return LaurentPoly(n, _unpack(values[0], width, n + 1))
 
 
 def _tower_deltas(n: int) -> set[Exponent]:
     """Every Delta of the tower: the exponents of the localization denominators."""
-    return {delta for *_, edges in _tower(n) for _, delta in edges.values()}
+    return {row[-1] for *_, rows in _tower(n) for row in rows}
 
 
 def _sum_defined_at(pt: RationalPoint, deltas: set[Exponent]) -> bool:

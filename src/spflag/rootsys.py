@@ -73,9 +73,10 @@ def index_pairs(system: RootSystem) -> tuple[tuple[int, int], ...]:
     """All root index pairs, columns j descending and i ascending within a column.
 
     This order is a topological order in which (i-1,j) and (i,j+1) always
-    precede (i,j): the one tower order.  `positive_roots` and the fixed-point
-    tower `fixedpoints._tower` read it as is; `geometry.lift` and
-    `bundles.solve_b` read it reversed, restricted to P_d.
+    precede (i,j): the one tower order.  `positive_roots` reads it as is, and
+    the fixed-point tower `fixedpoints._tower` is built in it and lists its
+    steps reversed; `geometry.lift` and `bundles.solve_b` read it reversed,
+    restricted to P_d.
     """
     pairs = []
     if isinstance(system, TypeA):

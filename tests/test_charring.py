@@ -10,15 +10,12 @@ from spflag import charring, cli
 from spflag.charring import (
     LaurentPoly,
     RationalPoint,
-    _divide_by_binomial,
-    _pack,
-    _packing_width,
-    _unpack,
     eps_to_omega,
     rho,
     weyl_character,
     weyl_dimension,
 )
+from spflag.fixedpoints import _divide_by_binomial, _pack, _packing_width, _unpack
 from spflag.rootsys import TypeC, positive_roots, root_weight, weight_of
 
 from support import evaluate_monomial

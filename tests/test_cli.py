@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 
 import spflag
-from spflag import cli
+from spflag import cli, fixedpoints
 from spflag.cli import run
 
 from support import fixed_points
@@ -43,6 +43,17 @@ def test_dim_type_a(capture):
 def test_fixed_points_count(capture):
     rc, out = capture(["fixed-points", "--n", "2", "--count"])
     assert rc == 0 and out.strip() == "16"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fixed_points_count_equals_the_walk_and_the_document(n, capture):
+    # --count prints 2^(n^2) without walking the tower.
+    rc, out = capture(["fixed-points", "--n", str(n), "--count"])
+    walked = sum(1 for _ in fixedpoints.iter_fixed_points(n, lambda key, s: None))
+    assert rc == 0 and json.loads(out) == walked
+    if n <= 3:
+        rc, out = capture(["fixed-points", "--n", str(n)])
+        assert rc == 0 and len(json.loads(out)["collections"]) == walked
 
 
 def test_fixed_points_dump_schema(capture):
@@ -149,8 +160,8 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
     fails(["dim", "--n", "2", "--lambda", "1,0,0"])
     fails(["dim", "--n", "2", "--lambda", "1,x"])
     fails(["discrepancy", "--n", "2", "--d", "2,1"])
-    # Refused by the soft limit, yet small enough to finish (in about 9 s)
-    # rather than exhaust memory if the limit were ever lost.
+    # Refused by the soft limit, yet instant if forced (the count is not
+    # walked), so a lost limit fails here rather than hang.
     fails(["fixed-points", "--n", "5", "--count"])
     fails(["dim", "--n", "0", "--lambda", ""])
     fails(["fixed-points", "--n", "0"])

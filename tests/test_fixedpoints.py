@@ -5,7 +5,7 @@ from itertools import islice, product, zip_longest
 
 import pytest
 
-from spflag import charring, fixedpoints
+from spflag import fixedpoints
 from spflag.charring import LaurentPoly, RationalPoint
 from spflag.cli import run
 from spflag.fixedpoints import (
@@ -120,6 +120,19 @@ def test_pool_runs_once_per_tower_edge(monkeypatch, n, edges):
         assert sum(len(step[2]) for step in fixedpoints._tower(n)) == edges
     finally:
         fixedpoints._tower.cache_clear()
+
+
+@pytest.mark.parametrize("n,edges", [(1, 1), (2, 9), (3, 74), (4, 697)])
+def test_tower_table_is_numbered_without_dead_or_missing_states(n, edges):
+    # Steps are listed last first; a row's "after" numbers index the rows of
+    # the step listed just before it, and after the last step they are 0.
+    steps = fixedpoints._tower(n)
+    assert [(i, j) for i, j, _ in steps] == list(reversed(index_pairs(TypeC(n))))
+    assert {row[k] for row in steps[0][2] for k in (1, 3)} == {0}
+    assert len(steps[-1][2]) == 1
+    for (*_, before), (*_, rows) in zip(steps, steps[1:]):
+        assert {row[k] for row in rows for k in (1, 3)} == set(range(len(before)))
+    assert sum(len(rows) for *_, rows in steps) == edges
 
 
 def test_all_admissible():
@@ -364,7 +377,7 @@ PUSHED_WEIGHTS = [
 def test_push_down_stays_inside_the_exponent_bound(monkeypatch, m_vec):
     n = len(m_vec)
     bound = fixedpoints._exponent_bound(m_vec, n)
-    width = charring._packing_width(bound)
+    width = fixedpoints._packing_width(bound)
     real = fixedpoints._divide_by_binomial
     seen = []
 
@@ -372,7 +385,7 @@ def test_push_down_stays_inside_the_exponent_bound(monkeypatch, m_vec):
         assert w == width
         quo = real(num, alpha, w)
         for terms in (num, quo):
-            seen.extend(x for e in charring._unpack(terms, w, n + 1) for x in e)
+            seen.extend(x for e in fixedpoints._unpack(terms, w, n + 1) for x in e)
         return quo
 
     monkeypatch.setattr(fixedpoints, "_divide_by_binomial", checked)

@@ -57,3 +57,32 @@ def test_every_definition_is_run_by_the_cli_or_kept_as_a_reference():
     defs = _definitions()
     unreached = set(defs) - _reached(defs, "main")
     assert unreached == set(REFERENCES)
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_uses_a_private_name_of_another():
+    """No module of the package imports a `_private` name from another, or
+    reads one from another module it imported."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.module == "spflag" or node.level and node.module is None:
+                modules.update(alias.asname or alias.name for alias in node.names)
+            elif node.level or node.module.startswith("spflag."):
+                found += [f"{path.stem}: {node.module}.{a.name}" for a in node.names if _private(a.name)]
+        found += [
+            f"{path.stem}: {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and _private(node.attr)
+        ]
+    assert found == []
