@@ -13,11 +13,9 @@ from .polytope import (
     polytope_spec,
 )
 from .rootsys import (
-    Root,
     TypeA,
     TypeC,
     boundary_pairs,
-    positive_roots,
     radical_pairs,
     root_weight,
 )
@@ -25,7 +23,6 @@ from .rootsys import (
 __all__ = [
     "LaurentPoly",
     "RationalPoint",
-    "Root",
     "TypeA",
     "TypeC",
     "boundary_pairs",
@@ -33,7 +30,6 @@ __all__ = [
     "graded_character",
     "lattice_points",
     "polytope_spec",
-    "positive_roots",
     "radical_pairs",
     "root_weight",
     "weyl_character",

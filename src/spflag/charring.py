@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import prod
 
-from .rootsys import TypeC, pairing, positive_roots, root_weight, weight_of
+from .rootsys import TypeC, index_pairs, pairing, root_weight, weight_of
 
 Exponent = tuple[int, ...]  # (q, z_1, ..., z_k)
 
@@ -33,10 +33,6 @@ class RationalPoint:
         if self.q == 0 or any(z == 0 for z in self.zs):
             raise ValueError("coordinates of a RationalPoint must be nonzero")
 
-    def inverted(self) -> "RationalPoint":
-        """The point with z_i -> 1/z_i and q -> 1/q."""
-        return RationalPoint(tuple(1 / z for z in self.zs), 1 / self.q)
-
 
 class LaurentPoly:
     """Sparse Laurent polynomial in q and nvars z-variables."""
@@ -51,21 +47,6 @@ class LaurentPoly:
                 if len(e) != nvars + 1:
                     raise ValueError("exponent vector length mismatch")
                 self.terms[e] = c
-
-    @classmethod
-    def zero(cls, nvars: int) -> "LaurentPoly":
-        return cls(nvars)
-
-    @classmethod
-    def monomial(cls, nvars: int, coeff, zexp: tuple[int, ...] = (), q: int = 0) -> "LaurentPoly":
-        return cls(nvars, {(q, *(zexp or (0,) * nvars)): coeff})
-
-    @classmethod
-    def one(cls, nvars: int) -> "LaurentPoly":
-        return cls.monomial(nvars, 1)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -84,36 +65,6 @@ class LaurentPoly:
                 mono = f"*q^{q}" + mono
             bits.append(f"{c}{mono}")
         return " + ".join(bits)
-
-    def _check(self, other: "LaurentPoly") -> None:
-        if self.nvars != other.nvars:
-            raise ValueError("mixed numbers of variables")
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(self.nvars, out)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.nvars, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return LaurentPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
-        self._check(other)
-        out: dict[Exponent, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(self.nvars, out)
-
-    __rmul__ = __mul__
 
     def evaluate(self, pt: RationalPoint) -> Fraction:
         """Exact substitution at a rational point, summed in integers.
@@ -141,31 +92,9 @@ class LaurentPoly:
             for x, l, h in zip(coords, lo, hi)
         )
 
-    def _remap(self, f) -> "LaurentPoly":
-        """Substitute monomials: the term at e moves to f(e)."""
-        out: dict[Exponent, int] = {}
-        for e, c in self.terms.items():
-            e = f(e)
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(self.nvars, out)
-
-    def specialize_q1(self) -> "LaurentPoly":
-        """Sum coefficients over q-exponents."""
-        return self._remap(lambda e: (0, *e[1:]))
-
     def invert_variables(self) -> "LaurentPoly":
         """Substitute z_i -> z_i^{-1} and q -> q^{-1}."""
-        return self._remap(lambda e: tuple(-x for x in e))
-
-    def swap_vars(self, a: int, b: int) -> "LaurentPoly":
-        """Swap z_{a+1} and z_{b+1}."""
-        order = list(range(self.nvars + 1))
-        order[a + 1], order[b + 1] = b + 1, a + 1
-        return self._remap(lambda e: tuple(e[k] for k in order))
-
-    def flip_var(self, a: int) -> "LaurentPoly":
-        """Substitute z_{a+1} -> z_{a+1}^{-1}."""
-        return self._remap(lambda e: tuple(-x if k == a + 1 else x for k, x in enumerate(e)))
+        return LaurentPoly(self.nvars, {tuple(-x for x in e): c for e, c in self.terms.items()})
 
 
 def rho(n: int) -> tuple[int, ...]:
@@ -175,11 +104,12 @@ def rho(n: int) -> tuple[int, ...]:
 
 def weyl_dimension(m_vec: tuple[int, ...], n: int) -> int:
     """Dimension of the sp_2n module of highest weight sum m_i omega_i."""
-    lam = weight_of(tuple(m_vec), TypeC(n))
+    system = TypeC(n)
+    lam = weight_of(tuple(m_vec), system)
     r = rho(n)
     num = Fraction(1)
-    for root in positive_roots(TypeC(n)):
-        w = root_weight(root)
+    for i, j in index_pairs(system):
+        w = root_weight(i, j, system)
         top = sum((l + rr) * x for l, rr, x in zip(lam, r, w))
         bot = sum(rr * x for rr, x in zip(r, w))
         num *= Fraction(top, bot)
@@ -225,9 +155,10 @@ def weyl_character(m_vec: tuple[int, ...], n: int) -> LaurentPoly:
     """
     if any(m < 0 for m in m_vec):
         raise ValueError(f"highest weight {m_vec} is not dominant")
-    lam = weight_of(tuple(m_vec), TypeC(n))
+    system = TypeC(n)
+    lam = weight_of(tuple(m_vec), system)
     r = rho(n)
-    alphas = [root_weight(root) for root in positive_roots(TypeC(n))]
+    alphas = [root_weight(i, j, system) for i, j in index_pairs(system)]
 
     def norm_rho(mu: tuple[int, ...]) -> int:
         return sum((x + y) ** 2 for x, y in zip(mu, r))

@@ -143,9 +143,19 @@ def _terms(poly: charring.LaurentPoly, basis: str) -> Iterator[str]:
                f'      "mult": {c}\n    }}')
 
 
+def _writable(value: int, what: str) -> int:
+    """`value`, checked against the interpreter's limit on the digits of an
+    int it writes (4300 by default): past it, str() raises ValueError."""
+    try:
+        str(value)
+    except ValueError as exc:
+        raise UsageError(f"cannot write {what}: {exc}")
+    return value
+
+
 def cmd_dim(args) -> Output:
     system, lam = _weight(args)
-    return 0, _JSON.iterencode(polytope.dimension(lam, system))
+    return 0, _JSON.iterencode(_writable(polytope.dimension(lam, system), "the dimension"))
 
 
 def cmd_qchar(args) -> Output:
@@ -176,7 +186,7 @@ def cmd_polytope(args) -> Output:
         "command": "polytope",
         "n": args.n,
         "lambda": list(lam),
-        "roots": [[root.i, root.j] for root in spec.roots],
+        "roots": [list(ij) for ij in spec.roots],
         "inequalities": [
             {"support": sorted(idx), "bound": bound}
             for idx, bound in spec.inequalities
@@ -219,11 +229,12 @@ def _collections(n: int) -> Iterator[str]:
 
 
 def cmd_fixed_points(args) -> Output:
-    head = {"command": "fixed-points", "n": args.n, "count": 2 ** (args.n * args.n)}
+    count = _writable(2 ** (args.n * args.n), "the count")
+    head = {"command": "fixed-points", "n": args.n, "count": count}
     if args.count:
         # Every step of the tower has two branches (`_pool` raises otherwise),
         # so the count is 2^(n^2) without a walk; `_collections` checks it.
-        return 0, _JSON.iterencode(head["count"])
+        return 0, _JSON.iterencode(count)
     return 0, _document(head, "collections", _collections(args.n))
 
 

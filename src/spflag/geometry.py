@@ -149,11 +149,6 @@ class Subspace:
     def zero(cls, ambient: int) -> "Subspace":
         return cls((), ambient)
 
-    @classmethod
-    def coordinate(cls, indices, ambient: int) -> "Subspace":
-        """Span of the basis vectors w_l for l in indices (1-indexed)."""
-        return cls.span(_unit_vectors(sorted(indices), ambient), ambient)
-
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -197,9 +192,6 @@ class Subspace:
     def annihilator(self) -> list[Vector]:
         """A basis of the linear forms that vanish on the subspace."""
         return nullspace(self.rows, self.ambient)
-
-    def intersection(self, other: "Subspace") -> "Subspace":
-        return Subspace.kernel(self.annihilator() + other.annihilator(), self.ambient)
 
 
 def _zeroed(v, kill) -> tuple:
@@ -307,8 +299,9 @@ def _in_w(v: Subspace, i: int, j: int) -> bool:
     return not any(x for row in v.rows for x in row[i:j])
 
 
-def in_resolution(p: ResolutionPoint, d: tuple[int, ...], n: int) -> bool:
-    pairs = radical_pairs(tuple(d), n)
+def in_resolution(p: ResolutionPoint) -> bool:
+    n = p.n
+    pairs = radical_pairs(tuple(p.d), n)
     if set(p.spaces) != set(pairs):
         raise ValueError("resolution point shape does not match P_d")
     for (i, j), v in p.spaces.items():
@@ -400,6 +393,6 @@ def lift(flag: FlagPoint, n: int) -> ResolutionPoint:
             raise LiftError(f"incompatible constraints at ({i},{j})")
         spaces[(i, j)] = _extend_choice(lower, bound, form, i, j, n) if lower.dim < i else lower
     point = ResolutionPoint(n, d, spaces)
-    if not in_resolution(point, d, n):
+    if not in_resolution(point):
         raise LiftError("constructed point fails the resolution conditions")
     return point

@@ -8,7 +8,7 @@ s_{n,n} by m_n.
 
 The lattice points are walked one line at a time over the free roots only.
 A root that lies in an inequality of bound 0 is 0 at every point, so it is
-fixed there.  The last free root, in the order of `positive_roots`, runs
+fixed there.  The last free root, in the order of `index_pairs`, runs
 over a whole line 0..c at once, where c is its least slack; an odometer
 over the other free roots moves from line to line.  `dimension` adds c + 1
 per line and builds no point; `lattice_points` and `graded_character`
@@ -25,12 +25,11 @@ from operator import add, sub
 
 from .charring import LaurentPoly
 from .rootsys import (
-    Root,
     RootSystem,
     TypeA,
     TypeC,
+    index_pairs,
     is_valid_pair,
-    positive_roots,
     rank,
     root_weight,
     weight_of,
@@ -68,13 +67,14 @@ def _dyck_pairs(system: RootSystem) -> list[tuple[tuple[int, int], ...]]:
 class PolytopeSpec:
     """Inequality system cut out by the Dyck paths of one dominant weight.
 
-    `roots` fixes the coordinate order of lattice points; each inequality is
+    `roots`, the index pairs of the positive roots in `index_pairs` order,
+    fixes the coordinate order of lattice points; each inequality is
     (indices into roots, bound), one per Dyck path (a path is its support).
     """
 
     system: RootSystem
     lam: tuple[int, ...]
-    roots: tuple[Root, ...]
+    roots: tuple[tuple[int, int], ...]
     inequalities: tuple[tuple[frozenset[int], int], ...]
 
 
@@ -85,8 +85,8 @@ def polytope_spec(m_vec: tuple[int, ...], system: RootSystem) -> PolytopeSpec:
     m_vec = tuple(m_vec)
     if len(m_vec) != rank(system) or any(m < 0 for m in m_vec):
         raise ValueError(f"need {rank(system)} nonnegative coefficients, got {m_vec}")
-    roots = positive_roots(system)
-    pos = {r.pair: k for k, r in enumerate(roots)}
+    roots = index_pairs(system)
+    pos = {ij: k for k, ij in enumerate(roots)}
     inequalities = []
     for path in _dyck_pairs(system):
         (start, _), (p, q) = path[0], path[-1]
@@ -166,6 +166,6 @@ def dimension(m_vec: tuple[int, ...], system: RootSystem) -> int:
 def graded_character(m_vec: tuple[int, ...], system: RootSystem) -> LaurentPoly:
     """PBW-graded character: each point contributes q^(sum s) z^(lambda - sum s_a alpha)."""
     spec = polytope_spec(m_vec, system)
-    steps = [(1, *(-x for x in root_weight(r))) for r in spec.roots]
+    steps = [(1, *(-x for x in root_weight(i, j, spec.system))) for i, j in spec.roots]
     lam_eps = weight_of(spec.lam, system)
     return LaurentPoly(len(lam_eps), Counter(_points(spec, steps, (0, *lam_eps))))

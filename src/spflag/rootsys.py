@@ -52,28 +52,13 @@ def is_valid_pair(i: int, j: int, system: RootSystem) -> bool:
     return 1 <= i <= j and i + j <= 2 * system.n
 
 
-@dataclass(frozen=True)
-class Root:
-    """Positive root alpha_{i,j}; in type C the range i <= j, i+j <= 2n."""
-
-    i: int
-    j: int
-    system: RootSystem
-
-    def __post_init__(self) -> None:
-        if not is_valid_pair(self.i, self.j, self.system):
-            raise ValueError(f"invalid root index ({self.i},{self.j}) for {self.system}")
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.i, self.j)
-
-
 def index_pairs(system: RootSystem) -> tuple[tuple[int, int], ...]:
-    """All root index pairs, columns j descending and i ascending within a column.
+    """The positive roots alpha_{i,j} as index pairs (i, j), each once: n^2 in
+    type C(n), m(m-1)/2 in type A(m); in type C the range is i <= j,
+    i + j <= 2n.  Columns j run descending and i ascending within a column.
 
     This order is a topological order in which (i-1,j) and (i,j+1) always
-    precede (i,j): the one tower order.  `positive_roots` reads it as is, and
+    precede (i,j): the one tower order.  Lattice points are ordered by it, and
     the fixed-point tower `fixedpoints._tower` is built in it and lists its
     steps reversed; `geometry.lift` and `bundles.solve_b` read it reversed,
     restricted to P_d.
@@ -92,20 +77,14 @@ def index_pairs(system: RootSystem) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def positive_roots(system: RootSystem) -> tuple[Root, ...]:
-    """All positive roots exactly once; n^2 in type C(n), m(m-1)/2 in type A(m)."""
-    return tuple(Root(i, j, system) for i, j in index_pairs(system))
-
-
-def root_weight(r: Root) -> tuple[int, ...]:
-    """Epsilon coordinates of the root."""
-    i, j = r.i, r.j
-    if isinstance(r.system, TypeA):
-        w = [0] * r.system.m
+def root_weight(i: int, j: int, system: RootSystem) -> tuple[int, ...]:
+    """Epsilon coordinates of the positive root alpha_{i,j}."""
+    if isinstance(system, TypeA):
+        w = [0] * system.m
         w[i - 1] += 1
         w[j] -= 1
         return tuple(w)
-    n = r.system.n
+    n = system.n
     w = [0] * n
     if j < n:
         w[i - 1] += 1
@@ -153,12 +132,11 @@ def radical_pairs(d: tuple[int, ...], n: int) -> frozenset[tuple[int, int]]:
     check_d(d, n)
     system = TypeC(n)
     fund = [fundamental_weight(dl, system) for dl in d]
-    out = set()
-    for r in positive_roots(system):
-        w = root_weight(r)
-        if any(pairing(w, f) > 0 for f in fund):
-            out.add(r.pair)
-    return frozenset(out)
+    return frozenset(
+        (i, j)
+        for i, j in index_pairs(system)
+        if any(pairing(root_weight(i, j, system), f) > 0 for f in fund)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,10 @@ The random generators, the flat-family and involution checks, the
 polytope-point embedding and the coordinate realization of a fixed point are
 what the acceptance suite checks the paper's lemmas with; no command runs
 them.  `in_sp_grass_a_respan` is the earlier route of the degenerate isotropy
-test, which `geometry.in_sp_grass_a` is compared against.
+test, which `geometry.in_sp_grass_a` is compared against.  `times`, `at_q1`,
+`signed_permutation` and `coordinate_span` are the Laurent products, the q = 1
+specialization, the variable substitutions and the coordinate subspaces that
+the checks need and no command runs.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import random
 from collections.abc import Iterator
 from fractions import Fraction as Q
 
-from spflag.charring import Exponent, RationalPoint
+from spflag.charring import Exponent, LaurentPoly, RationalPoint
 from spflag.fixedpoints import Collection, iter_fixed_points
 from spflag.geometry import (
     FlagPoint,
@@ -27,7 +30,7 @@ from spflag.geometry import (
     symplectic_form,
 )
 from spflag.polytope import LatticePoint, PolytopeSpec, polytope_spec
-from spflag.rootsys import Root, TypeA, TypeC, positive_roots
+from spflag.rootsys import TypeA, TypeC, index_pairs
 
 
 def fixed_points(n: int) -> Iterator[Collection]:
@@ -51,12 +54,8 @@ def _dense(c):
     )
 
 
-def root_vector_matrix(r: Root) -> tuple[tuple[int, ...], ...]:
+def root_vector_matrix(i: int, j: int, n: int) -> tuple[tuple[int, ...], ...]:
     """Lowering operator f_{i,j} of sp_2n as a 2n x 2n integer matrix."""
-    if not isinstance(r.system, TypeC):
-        raise ValueError("root vector matrices are defined for type C only")
-    n = r.system.n
-    i, j = r.i, r.j
     m = [[0] * (2 * n) for _ in range(2 * n)]
     if j == 2 * n - i:
         m[2 * n - i][i - 1] = 1
@@ -82,13 +81,13 @@ def phi_point_embed(
     the image point together with the target spec; raises EmbeddingError if
     any type-A inequality fails (which signals an implementation bug).
     """
-    c_roots = positive_roots(TypeC(n))
+    c_roots = index_pairs(TypeC(n))
     if len(point) != len(c_roots):
         raise ValueError("point length does not match the type C root count")
     lam_a = tuple(m_vec) + (0,) * (n - 1)
     spec_a = polytope_spec(lam_a, TypeA(2 * n))
-    values = {r.pair: v for r, v in zip(c_roots, point)}
-    image = tuple(values.get(r.pair, 0) for r in spec_a.roots)
+    values = dict(zip(c_roots, point))
+    image = tuple(values.get(ij, 0) for ij in spec_a.roots)
     for support, bound in spec_a.inequalities:
         total = sum(image[k] for k in support)
         if total > bound:
@@ -96,6 +95,32 @@ def phi_point_embed(
                 f"image violates a type-A inequality: sum {total} > bound {bound}"
             )
     return image, spec_a
+
+
+def times(a: dict[Exponent, int], b: dict[Exponent, int]) -> dict[Exponent, int]:
+    """The product of two Laurent polynomials given as term dicts."""
+    out: dict[Exponent, int] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def at_q1(p: LaurentPoly) -> LaurentPoly:
+    """p with q = 1: the coefficients summed over q-exponents."""
+    out: dict[Exponent, int] = {}
+    for (_, *z), c in p.terms.items():
+        out[(0, *z)] = out.get((0, *z), 0) + c
+    return LaurentPoly(p.nvars, out)
+
+
+def signed_permutation(p: LaurentPoly, perm, signs) -> LaurentPoly:
+    """p with z_{k+1} -> z_{perm[k]+1}^{signs[k]}: a term's exponent
+    (q, e_1, ..., e_n) moves to (q, signs[0] e_{perm[0]+1}, ...)."""
+    return LaurentPoly(p.nvars, {
+        (q, *(s * z[k] for k, s in zip(perm, signs))): c for (q, *z), c in p.terms.items()
+    })
 
 
 def evaluate_monomial(pt: RationalPoint, exps: Exponent) -> Q:
@@ -115,10 +140,15 @@ def all_d(n: int) -> list[tuple[int, ...]]:
     return sorted(out, key=lambda t: (len(t), t))
 
 
+def coordinate_span(indices, ambient: int) -> Subspace:
+    """Span of the basis vectors w_l for l in indices (1-indexed)."""
+    return Subspace.span([tuple(int(c == l) for c in range(1, ambient + 1)) for l in indices], ambient)
+
+
 def realization(coll: Collection, n: int) -> ResolutionPoint:
     """Coordinate resolution point spanned by the indexed basis vectors."""
     spaces = {
-        ij: Subspace.coordinate(s, 2 * n) for ij, s in coll.items()
+        ij: coordinate_span(s, 2 * n) for ij, s in coll.items()
     }
     return ResolutionPoint(n, tuple(range(1, n + 1)), spaces)
 
@@ -134,9 +164,9 @@ def in_divisor(p: ResolutionPoint, i: int, j: int) -> bool:
     """Membership in Z_{i,j}: the component sits on the section."""
     n = p.n
     if i == 1:
-        target = Subspace.coordinate([j + 1], 2 * n)
+        target = coordinate_span([j + 1], 2 * n)
     else:
-        target = p.spaces[(i - 1, j + 1)].sum(Subspace.coordinate([j + 1], 2 * n))
+        target = p.spaces[(i - 1, j + 1)].sum(coordinate_span([j + 1], 2 * n))
     return p.spaces[(i, j)] == target
 
 
@@ -202,11 +232,11 @@ def isotropy_transport_check(u: Subspace, s, n: int, k: int) -> bool:
     return is_isotropic(moved, n, flat_family_form(s * s, n, k))
 
 
-def sp_lower_matrix(coeffs: dict[Root, Q], n: int) -> QMatrix:
-    """Strictly lower matrix sum c_alpha f_alpha in sp_2n."""
+def sp_lower_matrix(coeffs: dict[tuple[int, int], Q], n: int) -> QMatrix:
+    """Strictly lower matrix sum c_alpha f_alpha in sp_2n, alpha by index pair."""
     m = [[Q(0)] * (2 * n) for _ in range(2 * n)]
-    for root, c in coeffs.items():
-        for r, row in enumerate(root_vector_matrix(root)):
+    for (i, j), c in coeffs.items():
+        for r, row in enumerate(root_vector_matrix(i, j, n)):
             for col, x in enumerate(row):
                 if x:
                     m[r][col] += c * x
@@ -230,7 +260,7 @@ def unipotent_flag(gamma: QMatrix, d: tuple[int, ...], n: int) -> FlagPoint:
 
 def random_sp_flag(d: tuple[int, ...], n: int, rng: random.Random) -> FlagPoint:
     coeffs = {
-        r: Q(rng.randint(-9, 9), rng.randint(1, 5)) for r in positive_roots(TypeC(n))
+        ij: Q(rng.randint(-9, 9), rng.randint(1, 5)) for ij in index_pairs(TypeC(n))
     }
     return unipotent_flag(sp_lower_matrix(coeffs, n), d, n)
 

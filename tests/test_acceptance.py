@@ -27,7 +27,6 @@ from spflag.fixedpoints import (
 )
 from spflag.geometry import (
     FlagPoint,
-    Subspace,
     in_resolution,
     in_sp_flag_a,
     in_sp_grass_a,
@@ -44,6 +43,8 @@ from spflag.rootsys import TypeC, radical_pairs
 
 from support import (
     all_d,
+    at_q1,
+    coordinate_span,
     fixed_points,
     isotropy_transport_check,
     perp,
@@ -88,7 +89,7 @@ def test_criterion_2_character_oracle():
     ok = True
     for n, total in ((2, 3), (3, 2)):
         for lam in weights_up_to(n, total):
-            lhs = graded_character(lam, TypeC(n)).specialize_q1()
+            lhs = at_q1(graded_character(lam, TypeC(n)))
             ok = ok and lhs == weyl_character(lam, n)
     _report(2, "graded character at q=1 equals Weyl character", ok, time.time() - start, 120)
 
@@ -130,10 +131,9 @@ def test_criterion_4_fixed_point_census():
     for n, expected in ((1, 2), (2, 16), (3, 512)):
         colls = list(fixed_points(n))
         ok = ok and len(colls) == expected
-        d = tuple(range(1, n + 1))
         for coll in colls:
             ok = ok and is_admissible(coll, n)
-            ok = ok and in_resolution(realization(coll, n), d, n)
+            ok = ok and in_resolution(realization(coll, n))
     _report(4, "census 2/16/512, admissible, realizations in resolution", ok, time.time() - start, 120)
 
 
@@ -212,7 +212,7 @@ def _coordinate_members(d: tuple[int, ...], n: int) -> list[FlagPoint]:
 
     @cache
     def space(s):
-        return Subspace.coordinate(s, 2 * n)
+        return coordinate_span(s, 2 * n)
 
     level = [()]
     for l, k in enumerate(d):

@@ -223,6 +223,15 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
     capsys.readouterr()
     fails(["lift", "--input", str(path)])
 
+    # Answers past the 4300 digits Python writes as a string: the dimension
+    # 10^4300 has 4301, and the count 2^14400 at n = 120 has 4335.
+    fails(["dim", "--n", "1", "--lambda", "9" * 4300])
+    fails(["fixed-points", "--n", "120", "--force", "--count"])
+    fails(["fixed-points", "--n", "120", "--force"])
+    # At the limit: 10^4299 has 4300 digits.
+    assert run(["dim", "--n", "1", "--lambda", "9" * 4299]) == 0
+    assert capsys.readouterr().out == "1" + "0" * 4299 + "\n"
+
 
 def _fixed_points_stderr(n, stdout, stderr=subprocess.PIPE):
     """Exit status and stderr lines of `fixed-points --n n` writing to
@@ -322,10 +331,17 @@ def test_fixed_points_n4_chunks_are_whole_batches_of_collections():
 
 
 @pytest.mark.parametrize("count", [False, True], ids=["output", "count"])
-def test_fixed_points_n4_memory_stays_small(count, tmp_path, capsys):
-    # Streaming keeps no collection alive after it is written or counted.
+def test_fixed_points_n4_memory_stays_small(count, tmp_path, capsys, monkeypatch):
+    # Streaming keeps no collection alive after it is written; the count
+    # does not walk the tower at all.
     target = tmp_path / "out.json"
     out = ["--count"] if count else ["--output", str(target)]
+
+    def no_walk(*args):
+        raise AssertionError("--count walked the tower")
+
+    if count:
+        monkeypatch.setattr(fixedpoints, "iter_fixed_points", no_walk)
     tracemalloc.start()
     try:
         rc = run(["fixed-points", "--n", "4"] + out)

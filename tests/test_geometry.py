@@ -29,12 +29,13 @@ from spflag.geometry import (
     rref,
     symplectic_form,
 )
-from spflag.rootsys import TypeC, index_pairs, positive_roots, radical_pairs
+from spflag.rootsys import TypeC, index_pairs, radical_pairs
 
 from support import (
     _dense,
     all_d,
     apply_matrix,
+    coordinate_span,
     eta_matrix,
     fixed_points,
     flat_family_form,
@@ -54,7 +55,7 @@ from support import (
 
 
 def w(ambient, *ls):
-    return Subspace.coordinate(ls, ambient)
+    return coordinate_span(ls, ambient)
 
 
 def vec(*xs):
@@ -224,11 +225,14 @@ def test_rref_canonical(matrix, data):
 
 
 def test_sum_intersection():
+    def meet(a, b):
+        return Subspace.kernel(a.annihilator() + b.annihilator(), a.ambient)
+
     u = w(4, 1, 2)
     v = w(4, 2, 3)
     assert u.sum(v) == w(4, 1, 2, 3)
-    assert u.intersection(v) == w(4, 2)
-    assert u.intersection(w(4, 3, 4)).dim == 0
+    assert meet(u, v) == w(4, 2)
+    assert meet(u, w(4, 3, 4)).dim == 0
     rng = random.Random(4)
     for ambient in (4, 6):
         zero, whole = Subspace.zero(ambient), w(ambient, *range(1, ambient + 1))
@@ -239,11 +243,11 @@ def test_sum_intersection():
         spaces.append(spaces[2].sum(spaces[3]))
         for a in spaces:
             for b in spaces:
-                meet = a.intersection(b)
-                assert a.contains(meet) and b.contains(meet)
-                assert meet.dim == a.dim + b.dim - a.sum(b).dim
-                assert meet == b.intersection(a)
-        assert zero.intersection(whole) == zero and whole.intersection(whole) == whole
+                both = meet(a, b)
+                assert a.contains(both) and b.contains(both)
+                assert both.dim == a.dim + b.dim - a.sum(b).dim
+                assert both == meet(b, a)
+        assert meet(zero, whole) == zero and meet(whole, whole) == whole
 
 
 @pytest.mark.parametrize("k", [-1, 5])
@@ -428,7 +432,7 @@ def test_in_resolution_highest_weight():
         (1, 3): w(4, 1),
         (2, 2): w(4, 1, 2),
     }
-    assert in_resolution(ResolutionPoint(n, (1, 2), spaces), (1, 2), n)
+    assert in_resolution(ResolutionPoint(n, (1, 2), spaces))
 
 
 def test_in_resolution_violation():
@@ -439,12 +443,12 @@ def test_in_resolution_violation():
         (1, 3): w(4, 1),
         (2, 2): w(4, 1, 2),
     }
-    assert not in_resolution(ResolutionPoint(n, (1, 2), spaces), (1, 2), n)
+    assert not in_resolution(ResolutionPoint(n, (1, 2), spaces))
 
 
 def test_in_resolution_shape_mismatch():
     with pytest.raises(ValueError):
-        in_resolution(ResolutionPoint(2, (1, 2), {(1, 1): w(4, 1)}), (1, 2), 2)
+        in_resolution(ResolutionPoint(2, (1, 2), {(1, 1): w(4, 1)}))
 
 
 # --- lift ----------------------------------------------------------------------
@@ -465,7 +469,7 @@ def test_lift_round_trip_random(n):
             flag = random_sp_flag(d, n, rng)
             assert in_sp_flag_a(flag, n)
             res = lift(flag, n)
-            assert in_resolution(res, d, n)
+            assert in_resolution(res)
             back = tuple(res.spaces[dl, dl] for dl in res.d)
             assert res.d == flag.d and back == flag.spaces
             assert all(plucker_top_nonzero(v, i) for (i, _), v in res.spaces.items())
@@ -529,11 +533,11 @@ def _exp_nilpotent(m, size: int):
 def _orbit_point(sets, d, n, rng) -> FlagPoint:
     """V_{d_l} = exp(sum of c_α f_α over α with <α, ω_{d_l}> > 0) · w_{S_l},
     with one random c_α per root shared by every l."""
-    coeffs = {r: Q(rng.randint(-3, 3), rng.randint(1, 2)) for r in positive_roots(TypeC(n))}
+    coeffs = {ij: Q(rng.randint(-3, 3), rng.randint(1, 2)) for ij in index_pairs(TypeC(n))}
     spaces = []
     for dl, s in zip(d, sets):
         radical = radical_pairs((dl,), n)
-        nil = sp_lower_matrix({r: c for r, c in coeffs.items() if r.pair in radical}, n)
+        nil = sp_lower_matrix({ij: c for ij, c in coeffs.items() if ij in radical}, n)
         spaces.append(apply_matrix(_exp_nilpotent(nil, 2 * n), w(2 * n, *s)))
     return FlagPoint(d, tuple(spaces))
 
@@ -610,7 +614,7 @@ def test_in_resolution_makes_no_rref_call(monkeypatch):
 
     monkeypatch.setattr(geometry, "rref", counted_rref)
     for point in points:
-        assert in_resolution(point, point.d, point.n)
+        assert in_resolution(point)
     assert calls == []
 
 

@@ -2,15 +2,15 @@ import pytest
 
 from spflag.geometry import symplectic_form
 from spflag.rootsys import (
-    Root,
     TypeA,
     TypeC,
     boundary_pairs,
     fundamental_weight,
     index_pairs,
+    is_valid_pair,
     pairing,
-    positive_roots,
     radical_pairs,
+    rank,
     root_weight,
     weight_of,
 )
@@ -19,7 +19,11 @@ from support import _dense, root_vector_matrix
 
 
 def pairs(system):
-    return {(r.i, r.j) for r in positive_roots(system)}
+    """The index pairs, checked to be exactly those `is_valid_pair` accepts."""
+    found = set(index_pairs(system))
+    box = range(-1, 2 * rank(system) + 3)
+    assert found == {(i, j) for i in box for j in box if is_valid_pair(i, j, system)}
+    return found
 
 
 def test_positive_roots_c1():
@@ -28,55 +32,50 @@ def test_positive_roots_c1():
 
 def test_positive_roots_c2():
     assert pairs(TypeC(2)) == {(1, 1), (2, 2), (1, 2), (1, 3)}
+    assert not is_valid_pair(2, 3, TypeC(2))
 
 
 def test_positive_roots_a3():
     assert pairs(TypeA(3)) == {(1, 1), (2, 2), (1, 2)}
+    assert not is_valid_pair(1, 3, TypeA(3))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_type_c_count(n):
-    assert len(positive_roots(TypeC(n))) == n * n
+    assert len(pairs(TypeC(n))) == len(index_pairs(TypeC(n))) == n * n
 
 
 @pytest.mark.parametrize("m", range(2, 7))
 def test_type_a_count(m):
-    assert len(positive_roots(TypeA(m))) == m * (m - 1) // 2
+    assert len(pairs(TypeA(m))) == len(index_pairs(TypeA(m))) == m * (m - 1) // 2
 
 
 def test_root_order_is_topological():
     seen = set()
-    for r in positive_roots(TypeC(3)):
-        if r.i > 1:
-            assert (r.i - 1, r.j) in seen
-        if r.i + r.j + 1 <= 6 and r.j + 1 >= r.i:
-            assert (r.i, r.j + 1) in seen
-        seen.add((r.i, r.j))
-
-
-def test_invalid_root_rejected():
-    with pytest.raises(ValueError):
-        Root(2, 3, TypeC(2))
-    with pytest.raises(ValueError):
-        Root(1, 3, TypeA(3))
+    for i, j in index_pairs(TypeC(3)):
+        if i > 1:
+            assert (i - 1, j) in seen
+        if i + j + 1 <= 6 and j + 1 >= i:
+            assert (i, j + 1) in seen
+        seen.add((i, j))
 
 
 def test_root_weight_c2():
     c2 = TypeC(2)
-    assert root_weight(Root(1, 3, c2)) == (2, 0)
-    assert root_weight(Root(1, 2, c2)) == (1, 1)
-    assert root_weight(Root(1, 1, c2)) == (1, -1)
-    assert root_weight(Root(2, 2, c2)) == (0, 2)
+    assert root_weight(1, 3, c2) == (2, 0)
+    assert root_weight(1, 2, c2) == (1, 1)
+    assert root_weight(1, 1, c2) == (1, -1)
+    assert root_weight(2, 2, c2) == (0, 2)
 
 
 def test_root_weight_sums_simple_roots():
     n = 3
     c = TypeC(n)
-    simple = [root_weight(Root(i, i if i < n else n, c)) for i in range(1, n)]
-    simple.append(root_weight(Root(n, n, c)))
+    simple = [root_weight(i, i if i < n else n, c) for i in range(1, n)]
+    simple.append(root_weight(n, n, c))
     # alpha_{1,2} = alpha_1 + alpha_2
     expect = tuple(a + b for a, b in zip(simple[0], simple[1]))
-    assert root_weight(Root(1, 2, c)) == expect
+    assert root_weight(1, 2, c) == expect
 
 
 def test_root_vector_matrix_examples():
@@ -90,18 +89,18 @@ def test_root_vector_matrix_examples():
             tuple(x + sign * y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
         )
 
-    assert root_vector_matrix(Root(1, 1, TypeC(1))) == tuple(
+    assert root_vector_matrix(1, 1, 1) == tuple(
         tuple(row) for row in e(2, 1, 2)
     )
-    assert root_vector_matrix(Root(1, 1, TypeC(2))) == add(e(2, 1, 4), e(4, 3, 4), -1)
-    assert root_vector_matrix(Root(1, 2, TypeC(2))) == add(e(3, 1, 4), e(4, 2, 4), 1)
+    assert root_vector_matrix(1, 1, 2) == add(e(2, 1, 4), e(4, 3, 4), -1)
+    assert root_vector_matrix(1, 2, 2) == add(e(3, 1, 4), e(4, 2, 4), 1)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_root_vectors_in_sp(n):
     j = _dense(symplectic_form(n))
-    for r in positive_roots(TypeC(n)):
-        f = root_vector_matrix(r)
+    for p, q in index_pairs(TypeC(n)):
+        f = root_vector_matrix(p, q, n)
         # f^T J + J f = 0
         size = 2 * n
         for a in range(size):
@@ -114,10 +113,10 @@ def test_root_vectors_in_sp(n):
 def test_phi_embed():
     # The index-preserving embedding of C(n) roots into A(2n): every type-C
     # index pair is a type-A(2n) root.
-    c2 = TypeC(2)
-    images = {Root(r.i, r.j, TypeA(4)) for r in positive_roots(c2)}
-    assert len(images) == 4
-    assert {img.pair for img in images} == {r.pair for r in positive_roots(c2)}
+    c2 = index_pairs(TypeC(2))
+    assert len(c2) == 4
+    assert all(is_valid_pair(i, j, TypeA(4)) for i, j in c2)
+    assert set(c2) <= set(index_pairs(TypeA(4)))
 
 
 def test_weights_of_lambda():
@@ -142,10 +141,10 @@ def test_radical_matches_bruteforce_pairing():
     system = TypeC(n)
     for d in [(1,), (2,), (3,), (1, 3), (2, 3), (1, 2, 3)]:
         expect = set()
-        for r in positive_roots(system):
-            w = root_weight(r)
+        for i, j in index_pairs(system):
+            w = root_weight(i, j, system)
             if any(pairing(w, fundamental_weight(dl, system)) > 0 for dl in d):
-                expect.add((r.i, r.j))
+                expect.add((i, j))
         assert radical_pairs(d, n) == frozenset(expect)
 
 
