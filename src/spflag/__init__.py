@@ -1,11 +1,10 @@
 """Exact-arithmetic toolkit for degenerate symplectic flag varieties."""
 
 from .charring import (
-    LaurentPoly,
-    RationalPoint,
     weyl_character,
     weyl_dimension,
 )
+from .fixedpoints import evaluate
 from .polytope import (
     dimension,
     graded_character,
@@ -21,12 +20,11 @@ from .rootsys import (
 )
 
 __all__ = [
-    "LaurentPoly",
-    "RationalPoint",
     "TypeA",
     "TypeC",
     "boundary_pairs",
     "dimension",
+    "evaluate",
     "graded_character",
     "lattice_points",
     "polytope_spec",

@@ -1,8 +1,10 @@
-"""Integer Laurent polynomials in q and z_1..z_k, plus Weyl oracles for sp_2n.
+"""Weyl oracles for sp_2n, and the term dicts that characters are.
 
-Terms are stored sparsely as {(q, z_1, ..., z_k) exponent vector: int} with
-zero coefficients never kept.  The variable convention is z_i = e^{eps_i};
-conversion to the omega-exponent convention happens only in the CLI output.
+A character is an integer Laurent polynomial in q and z_1..z_k, stored
+sparsely as `Terms`, {(q, z_1, ..., z_k) exponent vector: int}, with no zero
+coefficient kept, so two characters are equal iff their dicts are.  The
+variable convention is z_i = e^{eps_i}; conversion to the omega-exponent
+convention happens only in the CLI output.
 
 The Weyl dimension is the product formula.  The Weyl character comes from
 Freudenthal's recursion over the dominant weights below the highest weight,
@@ -12,89 +14,13 @@ is exact, and a non-integral or non-positive quotient raises ArithmeticError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from math import prod
 
 from .rootsys import TypeC, index_pairs, pairing, root_weight, weight_of
 
 Exponent = tuple[int, ...]  # (q, z_1, ..., z_k)
-
-
-@dataclass(frozen=True)
-class RationalPoint:
-    """Evaluation point with nonzero rational coordinates."""
-
-    zs: tuple[Fraction, ...]
-    q: Fraction
-
-    def __post_init__(self) -> None:
-        if self.q == 0 or any(z == 0 for z in self.zs):
-            raise ValueError("coordinates of a RationalPoint must be nonzero")
-
-
-class LaurentPoly:
-    """Sparse Laurent polynomial in q and nvars z-variables."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms: dict[Exponent, int] | None = None):
-        self.nvars = nvars
-        self.terms: dict[Exponent, int] = {}
-        for e, c in (terms or {}).items():
-            if c:
-                if len(e) != nvars + 1:
-                    raise ValueError("exponent vector length mismatch")
-                self.terms[e] = c
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, LaurentPoly)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (q, *ze), c in sorted(self.terms.items()):
-            mono = "".join(f"*z{i + 1}^{e}" for i, e in enumerate(ze) if e)
-            if q:
-                mono = f"*q^{q}" + mono
-            bits.append(f"{c}{mono}")
-        return " + ".join(bits)
-
-    def evaluate(self, pt: RationalPoint) -> Fraction:
-        """Exact substitution at a rational point, summed in integers.
-
-        With x = a/b at a coordinate whose exponents range over lo..hi, a term
-        times a^-lo b^hi is the integer c a^(e-lo) b^(hi-e); the integer sum is
-        scaled back once.
-        """
-        if len(pt.zs) != self.nvars:
-            raise ValueError("point dimension mismatch")
-        coords = (pt.q, *pt.zs)
-        lo = [min(col) for col in zip(*self.terms)]
-        hi = [max(col) for col in zip(*self.terms)]
-        powers = [
-            [x.numerator**k * x.denominator ** (h - l - k) for k in range(h - l + 1)]
-            for x, l, h in zip(coords, lo, hi)
-        ]
-        total = 0
-        for e, c in self.terms.items():
-            for p, x, l in zip(powers, e, lo):
-                c *= p[x - l]
-            total += c
-        return Fraction(total) * prod(
-            Fraction(x.numerator) ** l * Fraction(x.denominator) ** -h
-            for x, l, h in zip(coords, lo, hi)
-        )
-
-    def invert_variables(self) -> "LaurentPoly":
-        """Substitute z_i -> z_i^{-1} and q -> q^{-1}."""
-        return LaurentPoly(self.nvars, {tuple(-x for x in e): c for e, c in self.terms.items()})
+Terms = dict[Exponent, int]  # a character: every coefficient nonzero
 
 
 def rho(n: int) -> tuple[int, ...]:
@@ -139,8 +65,8 @@ def _dominant_weights_below(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [mu for _, mu in sorted(found)]
 
 
-def weyl_character(m_vec: tuple[int, ...], n: int) -> LaurentPoly:
-    """Character of the sp_2n module as a q-free Laurent polynomial.
+def weyl_character(m_vec: tuple[int, ...], n: int) -> Terms:
+    """Character of the sp_2n module as the terms of a q-free Laurent polynomial.
 
     Freudenthal's formula gives the multiplicity of each dominant weight mu of
     V(lambda) from those of the dominant weights above it:
@@ -176,12 +102,12 @@ def weyl_character(m_vec: tuple[int, ...], n: int) -> LaurentPoly:
         if rest or m <= 0:
             raise ArithmeticError(f"Freudenthal quotient at {mu} is not a positive integer")
         mult[mu] = m
-    terms: dict[Exponent, int] = {}
+    terms: Terms = {}
     for mu, m in mult.items():
         for p in set(permutations(mu)):
             for v in product(*((x, -x) if x else (0,) for x in p)):
                 terms[(0, *v)] = m
-    return LaurentPoly(n, terms)
+    return terms
 
 
 def eps_to_omega(exps: tuple[int, ...]) -> tuple[int, ...]:

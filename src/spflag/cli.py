@@ -16,8 +16,9 @@ import json
 import os
 import re
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Generator, Iterable, Iterator
 from fractions import Fraction
+from itertools import islice
 
 from . import bundles, charring, fixedpoints, geometry, polytope
 from .rootsys import RootSystem, TypeA, TypeC, check_d, index_pairs, rank
@@ -29,7 +30,7 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(_INTEGER.pattern + r"(/[0-9]+)?")
 # Every JSON document goes out in this layout; docs/formats.md specifies it.
 _JSON = json.JSONEncoder(indent=2)
-# Collections per chunk of the `fixed-points` text: ~180 KB at n = 4.
+# Collections (~180 KB at n = 4) or points per chunk of the document text.
 _BATCH = 256
 
 
@@ -122,23 +123,25 @@ Output = tuple[int, Iterable[str]]
 
 def _document(head: dict, key: str, body: Iterable[str]) -> Iterator[str]:
     """The indented JSON of `head` with one more member, the array `key`,
-    last.  `body` yields the array's text at depth 2 in pieces, the first
-    starting with "\n" and the others with ","; it must yield at least one."""
+    and then the members of the dict that `body` returns, if it returns one.
+    `body` yields the array's text at depth 2 in pieces, the first starting
+    with "\n" and the others with ","; it must yield at least one."""
     yield f'{_JSON.encode(head)[:-2]},\n  "{key}": ['
-    yield from body
-    yield "\n  ]\n}"
+    tail = yield from body
+    yield "\n  ]" + ("," + _JSON.encode(tail)[1:-2] if tail else "") + "\n}"
 
 
-def _ints(values: Iterable[int]) -> str:
-    """A nonempty int array at depth 3, as `_JSON` writes it."""
-    return "[\n        " + ",\n        ".join(map(str, values)) + "\n      ]"
+def _ints(values: Iterable[int], depth: int) -> str:
+    """A nonempty int array at `depth`, as `_JSON` writes it."""
+    pad = "\n" + "  " * depth
+    return f"[{pad}  " + f",{pad}  ".join(map(str, values)) + f"{pad}]"
 
 
-def _terms(poly: charring.LaurentPoly, basis: str) -> Iterator[str]:
+def _terms(poly: charring.Terms, basis: str) -> Iterator[str]:
     """The `terms` of a character, one {"q", "weight", "mult"} element per
     term in exponent order, written as `_JSON` would write them."""
-    for k, ((q, *ze), c) in enumerate(sorted(poly.terms.items())):
-        weight = _ints(ze if basis == "eps" else charring.eps_to_omega(ze))
+    for k, ((q, *ze), c) in enumerate(sorted(poly.items())):
+        weight = _ints(ze if basis == "eps" else charring.eps_to_omega(ze), 3)
         yield ((",\n" if k else "\n") + f'    {{\n      "q": {q},\n      "weight": {weight},\n'
                f'      "mult": {c}\n    }}')
 
@@ -181,8 +184,7 @@ def cmd_weyl(args) -> Output:
 def cmd_polytope(args) -> Output:
     system, lam = _weight(args)
     spec = polytope.polytope_spec(lam, system)
-    points = polytope.lattice_points(spec)
-    doc = {
+    head = {
         "command": "polytope",
         "n": args.n,
         "lambda": list(lam),
@@ -191,10 +193,21 @@ def cmd_polytope(args) -> Output:
             {"support": sorted(idx), "bound": bound}
             for idx, bound in spec.inequalities
         ],
-        "points": [list(p) for p in points],
-        "count": len(points),
     }
-    return 0, _JSON.iterencode(doc)
+    return 0, _document(head, "points", _points(spec))
+
+
+def _points(spec: polytope.PolytopeSpec) -> Generator[str, None, dict]:
+    """The `points` of the `polytope` document, one chunk per `_BATCH`
+    points, each point's text with its separator in front and the first
+    chunk without its comma; it returns the member after them, the `count`."""
+    count = 0
+    texts = (f",\n    {_ints(p, 2)}" for p in polytope.lattice_points(spec))
+    while batch := list(islice(texts, _BATCH)):
+        text = "".join(batch)
+        yield text if count else text[1:]
+        count += len(batch)
+    return {"count": count}
 
 
 def _collections(n: int) -> Iterator[str]:
@@ -212,7 +225,7 @@ def _collections(n: int) -> Iterator[str]:
     def component(key: tuple[int, int], s: frozenset[int]) -> str:
         opening = "    {\n" if key == keys[0] else ""
         closing = "\n    }" if key == keys[-1] else ""
-        return f',\n{opening}      "{key[0]},{key[1]}": {_ints(sorted(s))}{closing}'
+        return f',\n{opening}      "{key[0]},{key[1]}": {_ints(sorted(s), 3)}{closing}'
 
     count = 2 ** (n * n)
     written = 0
@@ -229,6 +242,9 @@ def _collections(n: int) -> Iterator[str]:
 
 
 def cmd_fixed_points(args) -> Output:
+    # Refused unbuilt: 2^(n^2) has over d digits once n^2 >= 4d, as 16^d > 10^d (no d before 3.10.7).
+    if (digits := getattr(sys, "get_int_max_str_digits", int)()) and args.n * args.n >= 4 * digits:
+        raise UsageError(f"cannot write the count: 2^{args.n * args.n} has more than {digits} digits")
     count = _writable(2 ** (args.n * args.n), "the count")
     head = {"command": "fixed-points", "n": args.n, "count": count}
     if args.count:

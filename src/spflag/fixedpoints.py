@@ -17,7 +17,8 @@ with signed digits (`_pack`), at the least width w that keeps every vector it
 forms apart (`_packing_width`) given the bound `_exponent_bound`; a shift is
 then one int addition, and the exact division by 1 - e^{-alpha}
 (`_divide_by_binomial`) runs on packed exponents.  `_unpack` turns them back
-into tuples once, at the end, so a LaurentPoly is keyed by tuples.
+into tuples once, at the end, so the character is a `Terms` dict like the
+polytope's.  A sample point is its coordinate tuple, in exponent order.
 """
 
 from __future__ import annotations
@@ -26,14 +27,16 @@ import random
 from collections.abc import Callable, Iterator
 from fractions import Fraction
 from functools import cache
+from math import prod
 from typing import Any
 
-from .charring import Exponent, LaurentPoly, RationalPoint
+from .charring import Exponent, Terms
 from .polytope import graded_character
 from .rootsys import TypeC, index_pairs
 
 Pair = tuple[int, int]
 Collection = dict[Pair, frozenset[int]]
+Point = tuple[Fraction, ...]  # (q, z_1, ..., z_n), in exponent order
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17)
 
@@ -318,7 +321,7 @@ def _packed_tower(n: int, width: int) -> tuple[tuple[int, tuple], ...]:
     return tuple(packed)
 
 
-def abl_character(m_vec: tuple[int, ...], n: int) -> LaurentPoly:
+def abl_character(m_vec: tuple[int, ...], n: int) -> Terms:
     """The localization sum as an exact Laurent polynomial in q, z_1..z_n.
 
     Pushes forward down the tower of `_tower`, last step first.  At a step
@@ -344,7 +347,7 @@ def abl_character(m_vec: tuple[int, ...], n: int) -> LaurentPoly:
                 num[e] = num.get(e, 0) - c
             pushed.append(_divide_by_binomial(num, alpha, width))
         values = pushed
-    return LaurentPoly(n, _unpack(values[0], width, n + 1))
+    return _unpack(values[0], width, n + 1)
 
 
 def _tower_deltas(n: int) -> set[Exponent]:
@@ -352,14 +355,14 @@ def _tower_deltas(n: int) -> set[Exponent]:
     return {row[-1] for *_, rows in _tower(n) for row in rows}
 
 
-def _sum_defined_at(pt: RationalPoint, deltas: set[Exponent]) -> bool:
+def _sum_defined_at(pt: Point, deltas: set[Exponent]) -> bool:
     """True iff no factor 1 - e^Delta, Delta in `deltas`, vanishes at pt.
 
     With coordinates x_k = a_k / b_k, e^Delta = 1 iff the product of a_k^d_k
     over d_k > 0 and b_k^-d_k over d_k < 0 equals the same product with a
     and b swapped: one comparison of integers, with no Fraction built.
     """
-    coords = [(x.numerator, x.denominator) for x in (pt.q, *pt.zs)]
+    coords = [(x.numerator, x.denominator) for x in pt]
     for delta in deltas:
         lhs = rhs = 1
         for (a, b), d in zip(coords, delta):
@@ -374,8 +377,8 @@ def _sum_defined_at(pt: RationalPoint, deltas: set[Exponent]) -> bool:
     return True
 
 
-def sample_point(n: int, rng: random.Random) -> RationalPoint:
-    """Random rational point: z_1..z_n and q, each a ratio of two primes <= 17.
+def sample_point(n: int, rng: random.Random) -> Point:
+    """Random rational point (q, z_1, ..., z_n), each a ratio of two primes <= 17.
 
     The 2(n+1) primes are distinct only for n <= 2.  For n >= 3 they are drawn
     with replacement, so a coordinate can be 1 and coordinates can repeat, and
@@ -387,7 +390,33 @@ def sample_point(n: int, rng: random.Random) -> RationalPoint:
     else:
         picks = [rng.choice(_PRIMES) for _ in range(2 * need)]
     coords = [Fraction(picks[2 * k], picks[2 * k + 1]) for k in range(need)]
-    return RationalPoint(tuple(coords[:n]), coords[n])
+    return (coords[n], *coords[:n])
+
+
+def evaluate(terms: Terms, pt: Point) -> Fraction:
+    """Exact value of a character at a point, summed in integers.
+
+    With x = a/b at a coordinate whose exponents range over lo..hi, a term
+    times a^-lo b^hi is the integer c a^(e-lo) b^(hi-e); the integer sum is
+    scaled back once.
+    """
+    lo = [min(col) for col in zip(*terms)]
+    hi = [max(col) for col in zip(*terms)]
+    if terms and len(lo) != len(pt):
+        raise ValueError("point dimension mismatch")
+    powers = [
+        [x.numerator**k * x.denominator ** (h - l - k) for k in range(h - l + 1)]
+        for x, l, h in zip(pt, lo, hi)
+    ]
+    total = 0
+    for e, c in terms.items():
+        for p, x, l in zip(powers, e, lo):
+            c *= p[x - l]
+        total += c
+    return Fraction(total) * prod(
+        Fraction(x.numerator) ** l * Fraction(x.denominator) ** -h
+        for x, l, h in zip(pt, lo, hi)
+    )
 
 
 def abl_verify(m_vec: tuple[int, ...], n: int, trials: int, seed: int) -> dict:
@@ -405,9 +434,10 @@ def abl_verify(m_vec: tuple[int, ...], n: int, trials: int, seed: int) -> dict:
     rng = random.Random(seed)
     gc = graded_character(tuple(m_vec), TypeC(n))
     abl = abl_character(tuple(m_vec), n)
-    convention = "direct" if abl == gc else "inverted" if abl == gc.invert_variables() else None
+    inverted = {tuple(-x for x in e): c for e, c in gc.items()}  # z_i -> 1/z_i, q -> 1/q
+    convention = "direct" if abl == gc else "inverted" if abl == inverted else None
     deltas = _tower_deltas(n)
-    points: list[RationalPoint] = []
+    points: list[Point] = []
     attempts = 0
     while len(points) < trials:
         attempts += 1
@@ -418,12 +448,12 @@ def abl_verify(m_vec: tuple[int, ...], n: int, trials: int, seed: int) -> dict:
             points.append(pt)
     rows = []
     for pt in points:
-        rhs = gc.evaluate(pt)
-        lhs = rhs if convention else abl.evaluate(pt)
+        rhs = evaluate(gc, pt)
+        lhs = rhs if convention else evaluate(abl, pt)
         rows.append(
             {
-                "z": [str(z) for z in pt.zs],
-                "q": str(pt.q),
+                "z": [str(z) for z in pt[1:]],
+                "q": str(pt[0]),
                 "abl": str(lhs),
                 "character": str(rhs),
                 "equal": lhs == rhs,

@@ -23,7 +23,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import add, sub
 
-from .charring import LaurentPoly
+from .charring import Terms
 from .rootsys import (
     RootSystem,
     TypeA,
@@ -150,11 +150,11 @@ def _points(spec: PolytopeSpec, steps: list, start: tuple) -> Iterator[tuple[int
             yield acc
 
 
-def lattice_points(spec: PolytopeSpec) -> list[LatticePoint]:
-    """All integer points, in lexicographic order with respect to spec.roots."""
+def lattice_points(spec: PolytopeSpec) -> Iterator[LatticePoint]:
+    """Yield every integer point, in lexicographic order with respect to spec.roots."""
     nroots = len(spec.roots)
     units = [tuple(int(a == k) for a in range(nroots)) for k in range(nroots)]
-    return list(_points(spec, units, (0,) * nroots))
+    return _points(spec, units, (0,) * nroots)
 
 
 def dimension(m_vec: tuple[int, ...], system: RootSystem) -> int:
@@ -163,9 +163,9 @@ def dimension(m_vec: tuple[int, ...], system: RootSystem) -> int:
     return sum(c + 1 for _, c, _ in _walk(spec, [()] * len(spec.roots), ()))
 
 
-def graded_character(m_vec: tuple[int, ...], system: RootSystem) -> LaurentPoly:
+def graded_character(m_vec: tuple[int, ...], system: RootSystem) -> Terms:
     """PBW-graded character: each point contributes q^(sum s) z^(lambda - sum s_a alpha)."""
     spec = polytope_spec(m_vec, system)
     steps = [(1, *(-x for x in root_weight(i, j, spec.system))) for i, j in spec.roots]
     lam_eps = weight_of(spec.lam, system)
-    return LaurentPoly(len(lam_eps), Counter(_points(spec, steps, (0, *lam_eps))))
+    return Counter(_points(spec, steps, (0, *lam_eps)))

@@ -7,7 +7,8 @@ them.  `in_sp_grass_a_respan` is the earlier route of the degenerate isotropy
 test, which `geometry.in_sp_grass_a` is compared against.  `times`, `at_q1`,
 `signed_permutation` and `coordinate_span` are the Laurent products, the q = 1
 specialization, the variable substitutions and the coordinate subspaces that
-the checks need and no command runs.
+the checks need and no command runs; the Laurent polynomials are `Terms`
+dicts, as the library's characters are.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import random
 from collections.abc import Iterator
 from fractions import Fraction as Q
 
-from spflag.charring import Exponent, LaurentPoly, RationalPoint
-from spflag.fixedpoints import Collection, iter_fixed_points
+from spflag.charring import Exponent, Terms
+from spflag.fixedpoints import Collection, Point, iter_fixed_points
 from spflag.geometry import (
     FlagPoint,
     QMatrix,
@@ -107,28 +108,26 @@ def times(a: dict[Exponent, int], b: dict[Exponent, int]) -> dict[Exponent, int]
     return {e: c for e, c in out.items() if c}
 
 
-def at_q1(p: LaurentPoly) -> LaurentPoly:
+def at_q1(p: Terms) -> Terms:
     """p with q = 1: the coefficients summed over q-exponents."""
-    out: dict[Exponent, int] = {}
-    for (_, *z), c in p.terms.items():
+    out: Terms = {}
+    for (_, *z), c in p.items():
         out[(0, *z)] = out.get((0, *z), 0) + c
-    return LaurentPoly(p.nvars, out)
+    return {e: c for e, c in out.items() if c}
 
 
-def signed_permutation(p: LaurentPoly, perm, signs) -> LaurentPoly:
+def signed_permutation(p: Terms, perm, signs) -> Terms:
     """p with z_{k+1} -> z_{perm[k]+1}^{signs[k]}: a term's exponent
     (q, e_1, ..., e_n) moves to (q, signs[0] e_{perm[0]+1}, ...)."""
-    return LaurentPoly(p.nvars, {
-        (q, *(s * z[k] for k, s in zip(perm, signs))): c for (q, *z), c in p.terms.items()
-    })
+    return {(q, *(s * z[k] for k, s in zip(perm, signs))): c for (q, *z), c in p.items()}
 
 
-def evaluate_monomial(pt: RationalPoint, exps: Exponent) -> Q:
-    """Value of q^exps[0] * prod z_i^exps[i] at the point."""
-    val = pt.q ** exps[0]
-    for z, e in zip(pt.zs, exps[1:]):
+def evaluate_monomial(pt: Point, exps: Exponent) -> Q:
+    """Value of q^exps[0] * prod z_i^exps[i] at the point (q, z_1, ..., z_n)."""
+    val = Q(1)
+    for x, e in zip(pt, exps):
         if e:
-            val *= z**e
+            val *= x**e
     return val
 
 

@@ -9,8 +9,9 @@ import tracemalloc
 import pytest
 
 import spflag
-from spflag import cli, fixedpoints
+from spflag import cli, fixedpoints, polytope
 from spflag.cli import run
+from spflag.rootsys import TypeA, TypeC
 
 from support import fixed_points
 from test_golden import GOLDEN
@@ -98,6 +99,54 @@ def test_polytope_dump(capture):
     assert rc == 0 and doc["count"] == 4
     assert len(doc["inequalities"]) == 4
     assert [0, 0, 0, 0] in doc["points"]
+
+
+@pytest.mark.parametrize(
+    "argv, system, lam",
+    [
+        (["--n", "1", "--lambda", "0"], TypeC(1), (0,)),
+        (["--n", "1", "--lambda", "254"], TypeC(1), (254,)),
+        (["--n", "1", "--lambda", "255"], TypeC(1), (255,)),
+        (["--n", "1", "--lambda", "256"], TypeC(1), (256,)),
+        (["--n", "2", "--lambda", "2,3"], TypeC(2), (2, 3)),
+        (["--n", "3", "--lambda", "1,1", "--system", "A"], TypeA(3), (1, 1)),
+    ],
+    ids=["one-point", "255-points", "256-points", "257-points", "C2", "A3"],
+)
+def test_polytope_stream_equals_the_encoded_document(argv, system, lam, tmp_path, capture):
+    # With `cli._BATCH` = 256 points a chunk: less than, exactly and one more
+    # than one batch, and several batches in type C and A.
+    spec = polytope.polytope_spec(lam, system)
+    points = list(polytope.lattice_points(spec))
+    doc = {
+        "command": "polytope",
+        "n": int(argv[1]),
+        "lambda": list(lam),
+        "roots": [list(ij) for ij in spec.roots],
+        "inequalities": [{"support": sorted(idx), "bound": b} for idx, b in spec.inequalities],
+        "points": [list(p) for p in points],
+        "count": len(points),
+    }
+    expected = json.dumps(doc, indent=2)
+    target = tmp_path / "out.json"
+    assert capture(["polytope", *argv]) == (0, expected + "\n")
+    assert capture(["polytope", *argv, "--output", str(target)]) == (0, "")
+    assert target.read_bytes() == expected.encode()
+
+
+def test_polytope_memory_stays_small(tmp_path, capsys):
+    # 200,001 points, a 5 MB file: streaming keeps no list of them, nor
+    # their text, alive.
+    target = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        rc = run(["polytope", "--n", "1", "--lambda", "200000", "--output", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert rc == 0 and peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert target.read_bytes().endswith(b'\n  ],\n  "count": 200001\n}')
 
 
 def test_abl_verify_cli(capture):
@@ -231,6 +280,20 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
     # At the limit: 10^4299 has 4300 digits.
     assert run(["dim", "--n", "1", "--lambda", "9" * 4299]) == 0
     assert capsys.readouterr().out == "1" + "0" * 4299 + "\n"
+
+
+def test_fixed_points_refuses_a_long_count_before_building_it(capsys):
+    # 2^(3000^2) has 9,000,001 bits, about 1.1 MB as an int: the refusal
+    # comes from the bit count, and the power is never built.
+    tracemalloc.start()
+    try:
+        rc = run(["fixed-points", "--n", "3000", "--force", "--count"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "") and err.startswith("error: cannot write the count")
+    assert peak < 512 * 2**10, f"peak {peak / 2**10:.0f} KB"
 
 
 def _fixed_points_stderr(n, stdout, stderr=subprocess.PIPE):

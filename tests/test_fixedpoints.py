@@ -6,7 +6,7 @@ from itertools import islice, product, zip_longest
 import pytest
 
 from spflag import fixedpoints
-from spflag.charring import LaurentPoly, RationalPoint
+from spflag.charring import weyl_character
 from spflag.cli import run
 from spflag.fixedpoints import (
     DenominatorZeroError,
@@ -15,14 +15,18 @@ from spflag.fixedpoints import (
     abl_numerator_weight,
     abl_verify,
     denominator_deltas,
+    evaluate,
     is_admissible,
     sample_point,
     wtq_component,
 )
 from spflag.geometry import in_resolution
-from spflag.rootsys import TypeC, index_pairs
+from spflag.polytope import graded_character
+from spflag.rootsys import TypeA, TypeC, index_pairs, weight_of
 
 from support import evaluate_monomial, fixed_points, realization
+from test_golden import GOLDEN
+from test_polytope import CHARACTERS_WEIGHTS
 
 
 def test_count_n1():
@@ -261,25 +265,24 @@ def test_denominator_deltas_shape():
 
 
 def test_abl_evaluate_n1_spot():
-    pt = RationalPoint((Q(2),), Q(3))
-    assert abl_character((1,), 1).evaluate(pt) == Q(7, 2)
+    assert evaluate(abl_character((1,), 1), (Q(3), Q(2))) == Q(7, 2)
 
 
 def test_abl_evaluate_zero_weight_is_one():
     for n in (1, 2, 3, 4):
-        assert abl_character((0,) * n, n) == LaurentPoly(n, {(0,) * (n + 1): 1})
+        assert abl_character((0,) * n, n) == {(0,) * (n + 1): 1}
 
 
 def test_abl_denominator_zero_raises(monkeypatch):
     # every sampled point lies where 1 - q z^-2 vanishes
-    monkeypatch.setattr(fixedpoints, "sample_point", lambda n, rng: RationalPoint((Q(1),), Q(1)))
+    monkeypatch.setattr(fixedpoints, "sample_point", lambda n, rng: (Q(1), Q(1)))
     with pytest.raises(DenominatorZeroError):
         abl_verify((1,), 1, 3, seed=0)
 
 
 def test_sl2_closed_form():
     for m in range(6):
-        closed = LaurentPoly(1, {(k, m - 2 * k): 1 for k in range(m + 1)})
+        closed = {(k, m - 2 * k): 1 for k in range(m + 1)}
         assert abl_character((m,), 1) == closed
 
 
@@ -293,7 +296,7 @@ def test_abl_verify_matches_direct():
 
 def _inverted(pt):
     """The point with z_i -> 1/z_i and q -> 1/q."""
-    return RationalPoint(tuple(1 / z for z in pt.zs), 1 / pt.q)
+    return tuple(1 / x for x in pt)
 
 
 def _brute_sum(m_vec, pt, n, colls, inverted=False):
@@ -331,7 +334,7 @@ def test_abl_evaluate_equals_brute_force_sum(n):
                     assert not defined, (m_vec, pt, inverted)
                     continue
                 assert defined, (m_vec, pt, inverted)
-                got = polys[m_vec].evaluate(_inverted(pt) if inverted else pt)
+                got = evaluate(polys[m_vec], _inverted(pt) if inverted else pt)
                 assert got == want, (m_vec, pt, inverted)
     if n == 3:
         # the sample holds points on both sides of the screen
@@ -345,8 +348,7 @@ def _defined_by_fractions(pt, deltas):
 
 def _signed_point(n, rng):
     """A point of ratios of small integers of either sign, often equal to 1 or -1."""
-    coords = [Q(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 4)) for _ in range(n + 1)]
-    return RationalPoint(tuple(coords[:n]), coords[n])
+    return tuple(Q(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 4)) for _ in range(n + 1))
 
 
 @pytest.mark.parametrize("n,count", [(1, 200), (2, 500), (3, 2000), (4, 300)])
@@ -395,7 +397,7 @@ def test_push_down_stays_inside_the_exponent_bound(monkeypatch, m_vec):
 
     monkeypatch.setattr(fixedpoints, "_divide_by_binomial", checked)
     poly = abl_character(m_vec, n)
-    seen.extend(x for e in poly.terms for x in e)
+    seen.extend(x for e in poly for x in e)
     assert max(map(abs, seen)) <= bound
     monkeypatch.undo()
     assert poly == abl_character(m_vec, n)
@@ -409,14 +411,14 @@ def _patch_character(monkeypatch, change):
 
 
 def test_abl_verify_retries_in_inverted_variables(monkeypatch):
-    _patch_character(monkeypatch, lambda gc: gc.invert_variables())
+    _patch_character(monkeypatch, lambda gc: {tuple(-x for x in e): c for e, c in gc.items()})
     report = abl_verify((1, 0), 2, 4, seed=2)
     assert report["matched"] and report["convention"] == "inverted"
     assert len(report["points"]) == 4
 
 
 def test_abl_verify_reports_a_mismatch_in_both_conventions(monkeypatch, capsys):
-    _patch_character(monkeypatch, lambda gc: LaurentPoly(2, {e: 2 * c for e, c in gc.terms.items()}))
+    _patch_character(monkeypatch, lambda gc: {e: 2 * c for e, c in gc.items()})
     report = abl_verify((1, 0), 2, 4, seed=2)
     assert not report["matched"] and report["convention"] == "direct"
     assert not any(r["equal"] for r in report["points"])
@@ -429,9 +431,9 @@ def test_abl_verify_match_is_not_decided_by_the_sampled_points(monkeypatch, caps
     # agrees although the polynomials differ.  z + q/z has no term q or 1, so
     # the sum is the union of the terms.
     monkeypatch.setattr(
-        fixedpoints, "sample_point", lambda n, rng: RationalPoint((Q(5, 7),), Q(2, 3))
+        fixedpoints, "sample_point", lambda n, rng: (Q(2, 3), Q(5, 7))
     )
-    _patch_character(monkeypatch, lambda gc: LaurentPoly(1, {**gc.terms, (1, 0): 3, (0, 0): -2}))
+    _patch_character(monkeypatch, lambda gc: {**gc, (1, 0): 3, (0, 0): -2})
     report = abl_verify((1,), 1, 3, 0)
     assert not report["matched"]
     assert len(report["points"]) == 3 and all(r["equal"] for r in report["points"])
@@ -454,3 +456,33 @@ def test_realizations_pass_in_resolution():
     for n in (1, 2):
         for coll in fixed_points(n):
             assert in_resolution(realization(coll, n))
+
+
+def _character_weights():
+    """(type, n, lambda) of every character a golden digest or the benchmark
+    computes: `characters` runs `weyl`, `qchar` and `dim --system A --n n+1`
+    on CHARACTERS_WEIGHTS, and `localization` runs `abl-verify` on three more."""
+    found = {("C", len(lam), lam) for lam in [*CHARACTERS_WEIGHTS, (1, 0, 0), (0, 1, 1), (1, 1, 1)]}
+    found |= {("A", len(lam) + 1, lam) for lam in CHARACTERS_WEIGHTS}
+    for command in GOLDEN:
+        name, *argv = command.split()
+        if name in ("weyl", "qchar", "polytope", "dim", "abl-verify"):
+            opts = dict(zip(argv[::2], argv[1::2]))
+            lam = tuple(map(int, opts["--lambda"].split(",")))
+            found.add((opts.get("--system", "C"), int(opts["--n"]), lam))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("family, n, lam", _character_weights(), ids=str)
+def test_character_routes_give_canonical_dicts(family, n, lam):
+    # `abl_verify` compares the routes by dict equality: a kept zero
+    # coefficient, or a key of the wrong length, would make them differ.
+    if family == "C":
+        routes = [weyl_character(lam, n), graded_character(lam, TypeC(n)), abl_character(lam, n)]
+        nvars = n
+    else:
+        routes = [graded_character(lam, TypeA(n))]
+        nvars = len(weight_of(lam, TypeA(n)))
+    for terms in routes:
+        assert terms and all(type(c) is int and c for c in terms.values())
+        assert {len(e) for e in terms} == {nvars + 1}

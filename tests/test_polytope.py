@@ -5,7 +5,8 @@ from operator import add, sub
 
 import pytest
 
-from spflag.charring import LaurentPoly, weyl_character, weyl_dimension
+from spflag.charring import weyl_character, weyl_dimension
+from spflag.fixedpoints import evaluate
 from spflag.polytope import (
     _dyck_pairs,
     _walk,
@@ -97,7 +98,7 @@ def as_pair_dicts(spec, points):
 
 def test_lattice_points_c2_omega1():
     spec = polytope_spec((1, 0), TypeC(2))
-    pts = as_pair_dicts(spec, lattice_points(spec))
+    pts = as_pair_dicts(spec, list(lattice_points(spec)))
     assert len(pts) == 4
     assert {frozenset(d.items()) for d in pts} == {
         frozenset(),
@@ -109,7 +110,7 @@ def test_lattice_points_c2_omega1():
 
 def test_lattice_points_c2_omega2():
     spec = polytope_spec((0, 1), TypeC(2))
-    pts = as_pair_dicts(spec, lattice_points(spec))
+    pts = as_pair_dicts(spec, list(lattice_points(spec)))
     assert len(pts) == 5
     assert {frozenset(d.items()) for d in pts} == {
         frozenset(),
@@ -125,11 +126,11 @@ def test_zero_weight_single_point():
     for system in (TypeC(1), TypeC(2), TypeC(3), TypeC(4), TypeA(2), TypeA(3), TypeA(5)):
         lam = (0,) * rank(system)
         spec = polytope_spec(lam, system)
-        assert lattice_points(spec) == [tuple(0 for _ in spec.roots)]
+        assert list(lattice_points(spec)) == [tuple(0 for _ in spec.roots)]
         assert list(_walk(spec, [()] * len(spec.roots), ())) == [((), 0, ())]
         assert dimension(lam, system) == 1
         nvars = len(weight_of(lam, system))
-        assert graded_character(lam, system) == LaurentPoly(nvars, {(0,) * (nvars + 1): 1})
+        assert graded_character(lam, system) == {(0,) * (nvars + 1): 1}
 
 
 @pytest.mark.parametrize(
@@ -154,7 +155,7 @@ def test_lattice_points_match_brute_force(system, lams):
             p for p in box
             if all(sum(p[k] for k in support) <= bound for support, bound in spec.inequalities)
         ]
-        assert lattice_points(spec) == sorted(brute), lam
+        assert list(lattice_points(spec)) == sorted(brute), lam
 
 
 def _reference_walk(spec, steps, start):
@@ -188,7 +189,7 @@ def _reference_walk(spec, steps, start):
 def _reference_character(spec):
     steps = [(1, *(-x for x in root_weight(i, j, spec.system))) for i, j in spec.roots]
     lam_eps = weight_of(spec.lam, spec.system)
-    return LaurentPoly(len(lam_eps), Counter(_reference_walk(spec, steps, (0, *lam_eps))))
+    return Counter(_reference_walk(spec, steps, (0, *lam_eps)))
 
 
 @pytest.mark.parametrize(
@@ -207,7 +208,7 @@ def test_line_walk_matches_the_point_walk_over_every_root(system, lams):
         nroots = len(spec.roots)
         units = [tuple(int(a == k) for a in range(nroots)) for k in range(nroots)]
         want = list(_reference_walk(spec, units, (0,) * nroots))
-        assert lattice_points(spec) == want, lam
+        assert list(lattice_points(spec)) == want, lam
         assert dimension(lam, system) == len(want), lam
         assert graded_character(lam, system) == _reference_character(spec), lam
 
@@ -233,7 +234,7 @@ def per_point_character(lam, system):
     for point in lattice_points(spec):
         z = [x - sum(s * w[k] for s, w in zip(point, weights)) for k, x in enumerate(lam_eps)]
         terms[(sum(point), *z)] += 1
-    return LaurentPoly(len(lam_eps), terms)
+    return terms
 
 
 @pytest.mark.parametrize("lam", CHARACTERS_WEIGHTS, ids=str)
@@ -256,15 +257,12 @@ def test_dimension_holds_no_list_of_points():
 
 def test_graded_character_c2_omega1():
     gc = graded_character((1, 0), TypeC(2))
-    expect = LaurentPoly(
-        2,
-        {
-            (0, 1, 0): 1,
-            (1, -1, 0): 1,
-            (1, 0, 1): 1,
-            (1, 0, -1): 1,
-        },
-    )
+    expect = {
+        (0, 1, 0): 1,
+        (1, -1, 0): 1,
+        (1, 0, 1): 1,
+        (1, 0, -1): 1,
+    }
     assert gc == expect
 
 
@@ -272,34 +270,32 @@ def test_graded_character_c2_swap_and_flip():
     # z_1 + q (z_1^-1 + z_2 + z_2^-1): swapping moves the q^0 term to z_2
     gc = graded_character((1, 0), TypeC(2))
     swapped = {(0, 0, 1): 1, (1, 0, -1): 1, (1, 1, 0): 1, (1, -1, 0): 1}
-    assert signed_permutation(gc, (1, 0), (1, 1)) == LaurentPoly(2, swapped)
+    assert signed_permutation(gc, (1, 0), (1, 1)) == swapped
     # z_1 z_2 + q (z_1^-1 z_2 + 1 + z_1 z_2^-1) + q^2 z_1^-1 z_2^-1
     gc = graded_character((0, 1), TypeC(2))
     flip0 = {(0, -1, 1): 1, (1, 1, 1): 1, (1, 0, 0): 1, (1, -1, -1): 1, (2, 1, -1): 1}
     flip1 = {(0, 1, -1): 1, (1, -1, -1): 1, (1, 0, 0): 1, (1, 1, 1): 1, (2, -1, 1): 1}
-    assert signed_permutation(gc, (0, 1), (-1, 1)) == LaurentPoly(2, flip0)
-    assert signed_permutation(gc, (0, 1), (1, -1)) == LaurentPoly(2, flip1)
+    assert signed_permutation(gc, (0, 1), (-1, 1)) == flip0
+    assert signed_permutation(gc, (0, 1), (1, -1)) == flip1
 
 
 def test_graded_character_c1_closed_form():
     m = 4
     gc = graded_character((m,), TypeC(1))
-    expect = LaurentPoly(1, {(k, m - 2 * k): 1 for k in range(m + 1)})
+    expect = {(k, m - 2 * k): 1 for k in range(m + 1)}
     assert gc == expect
 
 
 def test_graded_character_zero_weight():
     gc = graded_character((0, 0, 0), TypeC(3))
-    assert gc == LaurentPoly(3, {(0, 0, 0, 0): 1})
+    assert gc == {(0, 0, 0, 0): 1}
 
 
 def test_graded_character_evaluation():
     from fractions import Fraction as Q
 
-    from spflag.charring import RationalPoint
-
     gc = graded_character((1,), TypeC(1))
-    assert gc.evaluate(RationalPoint((Q(2),), Q(1))) == Q(5, 2)
+    assert evaluate(gc, (Q(1), Q(2))) == Q(5, 2)
 
 
 @pytest.mark.parametrize("lam", [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1)])

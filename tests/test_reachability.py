@@ -92,8 +92,8 @@ def test_every_definition_is_run_by_the_cli_or_kept_as_a_reference():
     A name is matched wherever it occurs, whatever it refers to, so this
     over-approximates reachability: a definition it calls reached may still
     be dead, but one it calls unreached is used by no command.  Methods count
-    too: `LaurentPoly.evaluate` is reached because `LaurentPoly` is and
-    `evaluate` occurs in a reached body.
+    too: `Subspace.fraction_rows` is reached because `Subspace` is and
+    `fraction_rows` occurs in a reached body.
     """
     defs = _definitions()
     unreached = set(defs) - _reached(defs, "main")
