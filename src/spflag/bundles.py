@@ -165,8 +165,12 @@ def solve_b(d: tuple[int, ...], n: int) -> dict[Pair, int]:
     return b
 
 
-def verify_canonical_identity(d: tuple[int, ...], n: int) -> tuple[bool, Ledger]:
-    """Check the anticanonical comparison with the closed-form coefficients.
+def verify_canonical_identity(
+    d: tuple[int, ...], n: int, b: dict[Pair, int]
+) -> tuple[bool, Ledger]:
+    """Check the anticanonical comparison with the coefficients `b`, the
+    closed-form `discrepancy_b` of every pair of P_d (as `discrepancy_table`
+    holds them).
 
     Expands sum b_{i,j} O(Z_{i,j}) and subtracts the boundary/diagonal side;
     returns (True, {}) on exact match, else (False, residual vector).
@@ -174,7 +178,7 @@ def verify_canonical_identity(d: tuple[int, ...], n: int) -> tuple[bool, Ledger]
     d = tuple(d)
     residual: Ledger = {}
     for i, j in radical_pairs(d, n):
-        coeff = discrepancy_b(i, j, d, n)
+        coeff = b[(i, j)]
         for key, val in divisor_class(i, j, d, n).items():
             _add(residual, key, coeff * val)
     for key, val in _lhs_vector(d, n).items():

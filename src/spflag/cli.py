@@ -17,8 +17,8 @@ import os
 import re
 import sys
 from collections.abc import Generator, Iterable, Iterator
-from fractions import Fraction
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 
 from . import bundles, charring, fixedpoints, geometry, polytope
 from .rootsys import RootSystem, TypeA, TypeC, check_d, index_pairs, rank
@@ -28,8 +28,6 @@ SOFT_LIMIT = 4
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 # Row entries of a flag-point file: an integer, or p/q.
 _RATIONAL = re.compile(_INTEGER.pattern + r"(/[0-9]+)?")
-# Every JSON document goes out in this layout; docs/formats.md specifies it.
-_JSON = json.JSONEncoder(indent=2)
 # Collections (~180 KB at n = 4) or points per chunk of the document text.
 _BATCH = 256
 
@@ -126,20 +124,46 @@ def _document(head: dict, key: str, body: Iterable[str]) -> Iterator[str]:
     and then the members of the dict that `body` returns, if it returns one.
     `body` yields the array's text at depth 2 in pieces, the first starting
     with "\n" and the others with ","; it must yield at least one."""
-    yield f'{_JSON.encode(head)[:-2]},\n  "{key}": ['
+    yield f'{_text(head)[:-2]},\n  "{key}": ['
     tail = yield from body
-    yield "\n  ]" + ("," + _JSON.encode(tail)[1:-2] if tail else "") + "\n}"
+    yield "\n  ]" + ("," + _text(tail)[1:-2] if tail else "") + "\n}"
+
+
+def _text(value, depth: int = 0) -> str:
+    """`value` at `depth` in the layout of `json.dumps(value, indent=2)`,
+    the layout of every JSON document (docs/formats.md): dicts with str keys,
+    lists, str, int, bool and None, as one string."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    pad = "\n" + "  " * (depth + 1)
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = [_text(x, depth + 1) for x in value]
+        return f"[{pad}" + f",{pad}".join(items) + f"{pad[:-2]}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_text(v, depth + 1)}" for k, v in value.items()]
+        return f"{{{pad}" + f",{pad}".join(items) + f"{pad[:-2]}}}"
+    raise TypeError(f"cannot write {type(value).__name__} as JSON")
 
 
 def _ints(values: Iterable[int], depth: int) -> str:
-    """A nonempty int array at `depth`, as `_JSON` writes it."""
+    """A nonempty int array at `depth`, as `_text` writes it."""
     pad = "\n" + "  " * depth
     return f"[{pad}  " + f",{pad}  ".join(map(str, values)) + f"{pad}]"
 
 
 def _terms(poly: charring.Terms, basis: str) -> Iterator[str]:
     """The `terms` of a character, one {"q", "weight", "mult"} element per
-    term in exponent order, written as `_JSON` would write them."""
+    term in exponent order, written as `_text` would write them."""
     for k, ((q, *ze), c) in enumerate(sorted(poly.items())):
         weight = _ints(ze if basis == "eps" else charring.eps_to_omega(ze), 3)
         yield ((",\n" if k else "\n") + f'    {{\n      "q": {q},\n      "weight": {weight},\n'
@@ -158,7 +182,7 @@ def _writable(value: int, what: str) -> int:
 
 def cmd_dim(args) -> Output:
     system, lam = _weight(args)
-    return 0, _JSON.iterencode(_writable(polytope.dimension(lam, system), "the dimension"))
+    return 0, [_text(_writable(polytope.dimension(lam, system), "the dimension"))]
 
 
 def cmd_qchar(args) -> Output:
@@ -250,7 +274,7 @@ def cmd_fixed_points(args) -> Output:
     if args.count:
         # Every step of the tower has two branches (`_pool` raises otherwise),
         # so the count is 2^(n^2) without a walk; `_collections` checks it.
-        return 0, _JSON.iterencode(count)
+        return 0, [_text(count)]
     return 0, _document(head, "collections", _collections(args.n))
 
 
@@ -264,13 +288,14 @@ def cmd_abl_verify(args) -> Output:
         except ValueError:
             raise UsageError(f"SPFLAG_SEED must be an integer, got {text!r}")
     report = fixedpoints.abl_verify(lam, args.n, args.trials, seed)
-    return 0 if report["matched"] else 1, _JSON.iterencode(report)
+    return 0 if report["matched"] else 1, [_text(report)]
 
 
 def cmd_discrepancy(args) -> Output:
     d = _valid_d(_parse_ints(args.d, "d"), args.n)
     rows = bundles.discrepancy_table(d, args.n)
-    identity_ok, _ = bundles.verify_canonical_identity(d, args.n)
+    b = {(r["i"], r["j"]): r["b"] for r in rows}
+    identity_ok, _ = bundles.verify_canonical_identity(d, args.n, b)
     code = 0 if identity_ok else 1
     if args.format == "csv":
         buf = io.StringIO()
@@ -285,7 +310,7 @@ def cmd_discrepancy(args) -> Output:
         "rows": rows,
         "canonical_identity": identity_ok,
     }
-    return code, _JSON.iterencode(doc)
+    return code, [_text(doc)]
 
 
 def _json_list(value, what: str) -> list:
@@ -301,29 +326,30 @@ def _json_int(value, what: str) -> int:
     return value
 
 
-def _json_rational(value) -> Fraction:
+def _json_rational(value) -> tuple[int, int]:
+    """A row entry as (numerator, denominator), the denominator positive."""
     # A JSON float such as 0.1 has already lost its exact value.
     if not isinstance(value, str):
-        return Fraction(_json_int(value, "a non-string row entry"))
-    # Fraction alone would also read "0.5" and "1e5000", which has 5001 digits.
+        return _json_int(value, "a non-string row entry"), 1
+    # The grammar keeps out "0.5", " 1", "1_0" and "1e5000", which has 5001 digits.
     if not _RATIONAL.fullmatch(value):
         raise ValueError(f"row entry {json.dumps(value)} is not an integer or p/q")
-    return Fraction(value)
+    num, _, den = value.partition("/")
+    q = int(den) if den else 1
+    if not q:
+        raise ZeroDivisionError(f"row entry {json.dumps(value)} has denominator 0")
+    return int(num), q
 
 
 def _matrix_from_json(rows, two_n: int) -> geometry.Subspace:
     vecs = [
-        [_json_rational(x) for x in _json_list(row, "a row")]
+        geometry.cleared([_json_rational(x) for x in _json_list(row, "a row")])
         for row in _json_list(rows, "a space")
     ]
     for v in vecs:
         if len(v) != two_n:
             raise UsageError(f"matrix rows must have length {two_n}")
     return geometry.Subspace.span(vecs, two_n)
-
-
-def _matrix_to_json(u: geometry.Subspace) -> list[list[str]]:
-    return [[str(x) for x in row] for row in u.fraction_rows()]
 
 
 def _load_flag(path: str) -> tuple[geometry.FlagPoint, int]:
@@ -356,7 +382,7 @@ def cmd_check_geometry(args) -> Output:
         "member": member,
         "dims": [v.dim for v in flag.spaces],
     }
-    return 0 if member else 1, _JSON.iterencode(doc)
+    return 0 if member else 1, [_text(doc)]
 
 
 def cmd_lift(args) -> Output:
@@ -364,14 +390,14 @@ def cmd_lift(args) -> Output:
     try:
         point = geometry.lift(flag, n)
     except geometry.LiftError as exc:
-        return 1, _JSON.iterencode({"command": "lift", "error": str(exc)})
+        return 1, [_text({"command": "lift", "error": str(exc)})]
     try:
-        spaces = {f"{i},{j}": _matrix_to_json(v) for (i, j), v in sorted(point.spaces.items())}
+        spaces = {f"{i},{j}": v.text_rows() for (i, j), v in sorted(point.spaces.items())}
     except ValueError as exc:
         # A lifted entry can outgrow the interpreter's 4300-digit limit on str().
         raise UsageError(f"cannot write the lift of {args.input}: {exc}")
     doc = {"command": "lift", "n": n, "d": list(flag.d), "spaces": spaces}
-    return 0, _JSON.iterencode(doc)
+    return 0, [_text(doc)]
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@
 A subspace of W = Q^{2n} is stored as its reduced row echelon form with each
 row scaled to a primitive int vector whose pivot is positive.  That form is
 unique, so equality of subspaces is equality of int matrices.  Elimination,
-membership and isotropy run over Python ints; Fractions are built only where
-the RREF over Fraction is written or ordered (`Subspace.fraction_rows`).
+membership and isotropy run over Python ints; Fractions are built only to
+order the candidates of `_extend_choice` by their RREF over Fraction
+(`Subspace.fraction_rows`).  Flag files hold rational entries: `cleared`
+reads a row of them as ints, and `Subspace.text_rows` writes the RREF in
+them.
 Coordinates are 1-indexed in the public API, matching the basis w_1..w_2n.
 """
 
@@ -32,17 +35,23 @@ class LiftError(ValueError):
 # matrix kernel
 
 
+def cleared(row) -> list[int]:
+    """A row of rationals p/q, given as int pairs (p, q) with q > 0, scaled by
+    the lcm of the q: an int vector with the same span."""
+    scale = lcm(*[q for _, q in row])
+    return [p * (scale // q) for p, q in row]
+
+
 def _integral(row) -> list[int]:
-    """The row scaled by the lcm of its entries' denominators: an int vector
-    with the same span.  Entries must be int or Fraction."""
+    """The row as an int vector with the same span (`cleared`).  Entries must
+    be int or Fraction."""
     types = set(map(type, row))
     if types == {int}:
         return list(row)
     if not types <= {int, Q}:
         bad = (types - {int, Q}).pop()
         raise TypeError(f"matrix entries must be int or Fraction, got {bad.__name__}")
-    scale = lcm(*[x.denominator for x in row])
-    return [x.numerator * (scale // x.denominator) for x in row]
+    return cleared([(x.numerator, x.denominator) for x in row])
 
 
 def rref(rows) -> Matrix:
@@ -154,9 +163,21 @@ class Subspace:
         return len(self.rows)
 
     def fraction_rows(self) -> QMatrix:
-        """The RREF over Fraction, in which `lift` writes and orders spaces:
+        """The RREF over Fraction, in which `lift` orders candidate spaces:
         each entry a of a row with pivot p becomes a/p."""
         return tuple(tuple(Q(a, row[p]) for a in row) for row, p in zip(self.rows, self.pivots))
+
+    def text_rows(self) -> list[list[str]]:
+        """`fraction_rows` as strings, in which `lift` writes spaces, built
+        without Fractions: each entry a of a row with pivot p > 0 is a/p in
+        lowest terms, as str(Fraction(a, p)) writes it."""
+        out = []
+        for row, c in zip(self.rows, self.pivots):
+            p = row[c]
+            out.append(
+                [f"{a // g}" if (g := gcd(a, p)) == p else f"{a // g}/{p // g}" for a in row]
+            )
+        return out
 
     def __eq__(self, other: object) -> bool:
         return (

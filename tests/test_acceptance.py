@@ -144,12 +144,12 @@ def test_criterion_5_discrepancy_suite():
         for d in all_d(n):
             pairs = radical_pairs(d, n)
             solved = solve_b(d, n)
-            for (i, j) in pairs:
-                b = discrepancy_b(i, j, d, n)
+            closed = {(i, j): discrepancy_b(i, j, d, n) for (i, j) in pairs}
+            for (i, j), b in closed.items():
                 ok = ok and b >= 1
                 ok = ok and (b == 1) == (not is_exceptional(i, j, d, n))
                 ok = ok and solved[(i, j)] == b
-            identity_ok, _ = verify_canonical_identity(d, n)
+            identity_ok, _ = verify_canonical_identity(d, n, closed)
             ok = ok and identity_ok
     for n in (2, 3, 4):
         d = tuple(range(1, n + 1))

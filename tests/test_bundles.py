@@ -111,7 +111,8 @@ def test_b_positive_and_one_iff_nonexceptional(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_canonical_identity(n):
     for d in all_d(n):
-        ok, residual = verify_canonical_identity(d, n)
+        b = {(i, j): discrepancy_b(i, j, d, n) for i, j in radical_pairs(d, n)}
+        ok, residual = verify_canonical_identity(d, n, b)
         assert ok and not residual, (n, d, residual)
 
 

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as Q
 from itertools import permutations, product
 from math import prod
@@ -359,4 +360,4 @@ def test_terms_writer_equals_the_encoder(nvars_and_p, basis):
     nvars, p = nvars_and_p
     head = {"command": "weyl", "n": nvars, "lambda": [0] * nvars, "weight_basis": basis}
     text = "".join(cli._document(head, "terms", cli._terms(p, basis)))
-    assert text == cli._JSON.encode({**head, "terms": json_terms(p, basis)})
+    assert text == json.dumps({**head, "terms": json_terms(p, basis)}, indent=2)

@@ -5,12 +5,16 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spflag
 from spflag import cli, fixedpoints, polytope
 from spflag.cli import run
+from spflag.geometry import Subspace
 from spflag.rootsys import TypeA, TypeC
 
 from support import fixed_points
@@ -525,6 +529,59 @@ def test_check_geometry_rational_entries(tmp_path, capture):
     path.write_text(json.dumps(doc))
     rc, out = capture(["check-geometry", "--input", str(path)])
     assert rc == 0 and json.loads(out)["member"]
+
+
+# Row entries as a flag file holds them: JSON ints, and integer or p/q strings
+# with signs, leading zeros, zero numerators and parts of up to 41 digits.
+_entries = st.one_of(
+    st.integers(-(10**40), 10**40),
+    st.sampled_from(["0", "+7", "007", "-0/5", "0/3", "-12/8", "+006/004"]),
+    st.builds(
+        lambda sign, zeros, p, q: f"{sign}{'0' * zeros}{p}" + ("" if q is None else f"/{q}"),
+        st.sampled_from(["", "+", "-"]),
+        st.integers(0, 2),
+        st.integers(0, 10**40),
+        st.one_of(st.none(), st.integers(1, 10**40)),
+    ),
+)
+
+
+@st.composite
+def _spaces(draw):
+    two_n = 2 * draw(st.integers(1, 3))
+    row = st.lists(st.one_of(st.just(0), _entries), min_size=two_n, max_size=two_n)
+    return two_n, draw(st.lists(row, max_size=two_n + 1))
+
+
+@given(_spaces())
+@settings(max_examples=300, deadline=None)
+def test_flag_io_equals_the_fraction_path(space):
+    two_n, rows = space
+    u = cli._matrix_from_json(rows, two_n)
+    assert u == Subspace.span([[Fraction(x) for x in row] for row in rows], two_n)
+    assert u.text_rows() == [[str(x) for x in row] for row in u.fraction_rows()]
+
+
+# Strings weighted toward control characters and non-ASCII text.
+_strings = st.text(st.one_of(st.characters(max_codepoint=0x1F), st.characters(min_codepoint=0x80),
+                             st.characters()))
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-(10**400), 10**400), _strings),
+    lambda kids: st.one_of(st.lists(kids, max_size=4), st.dictionaries(_strings, kids, max_size=4)),
+    max_leaves=24,
+)
+
+
+@given(_json_values)
+@settings(max_examples=500, deadline=None)
+def test_text_equals_the_stdlib_layout(value):
+    assert cli._text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [0.5, (1, 2), {1: "a"}, {"a": [Fraction(1, 2)]}, b"x"])
+def test_text_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._text(value)
 
 
 def test_output_file(tmp_path, capture):
