@@ -8,18 +8,25 @@ s_{n,n} by m_n.
 
 The lattice points are walked one line at a time over the free roots only.
 A root that lies in an inequality of bound 0 is 0 at every point, so it is
-fixed there.  The last free root, in the order of `index_pairs`, runs
-over a whole line 0..c at once, where c is its least slack; an odometer
-over the other free roots moves from line to line.  `dimension` adds c + 1
-per line and builds no point; `lattice_points` and `graded_character`
-expand each line by that root's step.  The cost follows the number of
-lines, not of points or of roots.
+fixed there.  The last free root, in the order walked, runs over a whole
+line 0..c at once, where c is its least slack; an odometer over the other
+free roots moves from line to line.  `dimension` adds c + 1 per line and
+builds no point; `lattice_points` and `graded_character` expand each line
+by that root's step.  The cost follows the number of lines, not of points
+or of roots.
+
+Only `lattice_points` walks the roots in `index_pairs` order, so that its
+points come out in lexicographic order.  `dimension` and `graded_character`
+are a sum over lines and a Counter, so they walk the roots reversed,
+columns ascending: there fewer levels of the odometer reach a cap of 0 and
+have to be carried, and a line is longer (at rho, n = 4: 28,672 lines
+against 51,808).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from operator import add, sub
 
@@ -95,14 +102,18 @@ def polytope_spec(m_vec: tuple[int, ...], system: RootSystem) -> PolytopeSpec:
     return PolytopeSpec(system, m_vec, roots, tuple(inequalities))
 
 
-def _walk(spec: PolytopeSpec, steps: list, start: tuple) -> Iterator[tuple[tuple, int, tuple]]:
-    """Yield one (acc, c, step) per line of lattice points, in lexicographic order.
+def _walk(
+    spec: PolytopeSpec, order: Iterable[int], steps: list, start: tuple
+) -> Iterator[tuple[tuple, int, tuple]]:
+    """Yield one (acc, c, step) per line of lattice points, in lexicographic
+    order with respect to `order`, a sequence of every root index.
 
     A root in an inequality of bound 0 is 0 at every point; the others are the
-    free roots.  A line fixes every free root but the last one, which ranges
-    over 0..c: its points are acc, acc + step, ..., acc + c step, where acc is
-    start + sum_k s_k steps[k] over the fixed coordinates and step is the last
-    free root's entry of steps.  An odometer over the other free roots in
+    free roots, taken in `order`.  A line fixes every free root but the last
+    one, which ranges over 0..c: its points are acc, acc + step, ...,
+    acc + c step, where acc is start + sum_k s_k steps[k] over the fixed
+    coordinates and step is the last free root's entry of steps (indexed by
+    root, not by place in `order`).  An odometer over the other free roots in
     O(#roots + #inequalities) state moves from line to line: the last level
     below its cap (its least slack) goes up by one, and the levels after it
     reset.  With no free root there is one line, start alone, with c = 0.
@@ -113,7 +124,7 @@ def _walk(spec: PolytopeSpec, steps: list, start: tuple) -> Iterator[tuple[tuple
         raise AssertionError("every root must appear in some inequality")
     slack = [bound for _, bound in ineqs]
     cap = [min(map(slack.__getitem__, rows)) for rows in by_root]
-    free = [k for k in range(len(by_root)) if cap[k]]
+    free = [k for k in order if cap[k]]
     if not free:
         yield start, 0, ()
         return
@@ -141,9 +152,11 @@ def _walk(spec: PolytopeSpec, steps: list, start: tuple) -> Iterator[tuple[tuple
             cap[j] = min(map(slack.__getitem__, rows[j]))
 
 
-def _points(spec: PolytopeSpec, steps: list, start: tuple) -> Iterator[tuple[int, ...]]:
-    """Every point of every line of `_walk`, in lexicographic order."""
-    for acc, c, step in _walk(spec, steps, start):
+def _points(
+    spec: PolytopeSpec, order: Iterable[int], steps: list, start: tuple
+) -> Iterator[tuple[int, ...]]:
+    """Every point of every line of `_walk`, in its order."""
+    for acc, c, step in _walk(spec, order, steps, start):
         yield acc
         for _ in range(c):
             acc = tuple(map(add, acc, step))
@@ -154,13 +167,14 @@ def lattice_points(spec: PolytopeSpec) -> Iterator[LatticePoint]:
     """Yield every integer point, in lexicographic order with respect to spec.roots."""
     nroots = len(spec.roots)
     units = [tuple(int(a == k) for a in range(nroots)) for k in range(nroots)]
-    return _points(spec, units, (0,) * nroots)
+    return _points(spec, range(nroots), units, (0,) * nroots)
 
 
 def dimension(m_vec: tuple[int, ...], system: RootSystem) -> int:
-    """The number of lattice points, one term per line."""
+    """The number of lattice points, one term per line of the reversed walk."""
     spec = polytope_spec(m_vec, system)
-    return sum(c + 1 for _, c, _ in _walk(spec, [()] * len(spec.roots), ()))
+    nroots = len(spec.roots)
+    return sum(c + 1 for _, c, _ in _walk(spec, reversed(range(nroots)), [()] * nroots, ()))
 
 
 def graded_character(m_vec: tuple[int, ...], system: RootSystem) -> Terms:
@@ -168,4 +182,4 @@ def graded_character(m_vec: tuple[int, ...], system: RootSystem) -> Terms:
     spec = polytope_spec(m_vec, system)
     steps = [(1, *(-x for x in root_weight(i, j, spec.system))) for i, j in spec.roots]
     lam_eps = weight_of(spec.lam, system)
-    return Counter(_points(spec, steps, (0, *lam_eps)))
+    return Counter(_points(spec, reversed(range(len(steps))), steps, (0, *lam_eps)))

@@ -61,7 +61,8 @@ def index_pairs(system: RootSystem) -> tuple[tuple[int, int], ...]:
     precede (i,j): the one tower order.  Lattice points are ordered by it, and
     the fixed-point tower `fixedpoints._tower` is built in it and lists its
     steps reversed; `geometry.lift` and `bundles.solve_b` read it reversed,
-    restricted to P_d.
+    restricted to P_d, and `polytope.dimension` and `graded_character` walk
+    the lattice points in it reversed.
     """
     pairs = []
     if isinstance(system, TypeA):

@@ -74,9 +74,10 @@ def _report(num: int, description: str, ok: bool, elapsed: float, budget: float)
 def test_criterion_1_dimension_oracle():
     start = time.time()
     ok = True
-    for n, total in ((2, 3), (3, 2)):
+    for n, total in ((2, 3), (3, 2), (4, 2)):
         for lam in weights_up_to(n, total):
             ok = ok and dimension(lam, TypeC(n)) == weyl_dimension(lam, n)
+    ok = ok and dimension((1, 1, 1, 1), TypeC(4)) == weyl_dimension((1, 1, 1, 1), 4)
     ok = ok and dimension((1, 0), TypeC(2)) == 4
     ok = ok and dimension((0, 1), TypeC(2)) == 5
     ok = ok and dimension((1, 1), TypeC(2)) == 16
@@ -87,10 +88,12 @@ def test_criterion_1_dimension_oracle():
 def test_criterion_2_character_oracle():
     start = time.time()
     ok = True
-    for n, total in ((2, 3), (3, 2)):
+    for n, total in ((2, 3), (3, 2), (4, 2)):
         for lam in weights_up_to(n, total):
             lhs = at_q1(graded_character(lam, TypeC(n)))
             ok = ok and lhs == weyl_character(lam, n)
+    rho = at_q1(graded_character((1, 1, 1, 1), TypeC(4)))
+    ok = ok and rho == weyl_character((1, 1, 1, 1), 4)
     _report(2, "graded character at q=1 equals Weyl character", ok, time.time() - start, 120)
 
 

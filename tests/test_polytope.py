@@ -5,6 +5,7 @@ from operator import add, sub
 
 import pytest
 
+from spflag import polytope
 from spflag.charring import weyl_character, weyl_dimension
 from spflag.fixedpoints import evaluate
 from spflag.polytope import (
@@ -127,7 +128,9 @@ def test_zero_weight_single_point():
         lam = (0,) * rank(system)
         spec = polytope_spec(lam, system)
         assert list(lattice_points(spec)) == [tuple(0 for _ in spec.roots)]
-        assert list(_walk(spec, [()] * len(spec.roots), ())) == [((), 0, ())]
+        nroots = len(spec.roots)
+        for order in (range(nroots), reversed(range(nroots))):
+            assert list(_walk(spec, order, [()] * nroots, ())) == [((), 0, ())]
         assert dimension(lam, system) == 1
         nvars = len(weight_of(lam, system))
         assert graded_character(lam, system) == {(0,) * (nvars + 1): 1}
@@ -214,15 +217,56 @@ def test_line_walk_matches_the_point_walk_over_every_root(system, lams):
 
 
 @pytest.mark.parametrize(
-    "lam, lines, points", [((0, 0, 0, 4), 8918, 26026), ((0, 0, 1, 1), 714, 1056)], ids=str
+    "lam, lines, points",
+    [((0, 0, 0, 4), 8918, 26026), ((0, 0, 1, 1), 714, 1056), ((1, 1, 1, 1), 51808, 65536)],
+    ids=str,
 )
 def test_walk_steps_once_per_line_of_free_roots(lam, lines, points):
-    # The work count: at (0,0,0,4) the six roots (i, j) with j < 4 are dead
-    # and each line holds about three points; a walk over every root, or one
-    # point at a time, would step once per point.
+    # The work count in `index_pairs` order, the order of `lattice_points`:
+    # at (0,0,0,4) the six roots (i, j) with j < 4 are dead and each line
+    # holds about three points; a walk over every root, or one point at a
+    # time, would step once per point.
     spec = polytope_spec(lam, TypeC(4))
-    walk = list(_walk(spec, [()] * len(spec.roots), ()))
+    nroots = len(spec.roots)
+    walk = list(_walk(spec, range(nroots), [()] * nroots, ()))
     assert (len(walk), sum(c + 1 for _, c, _ in walk)) == (lines, points)
+
+
+@pytest.mark.parametrize(
+    "lam, lines, points",
+    [((0, 0, 0, 4), 8918, 26026), ((0, 0, 1, 1), 560, 1056), ((1, 1, 1, 1), 28672, 65536)],
+    ids=str,
+)
+def test_dimension_and_character_walk_the_roots_reversed(lam, lines, points, monkeypatch):
+    # The work count in reversed `index_pairs` order, columns ascending: fewer
+    # levels of the odometer reach a cap of 0, so the lines are fewer and
+    # longer than in the test above, and `dimension` and `graded_character`
+    # must take this order.
+    spec = polytope_spec(lam, TypeC(4))
+    nroots = len(spec.roots)
+    walk = list(_walk(spec, reversed(range(nroots)), [()] * nroots, ()))
+    assert (len(walk), sum(c + 1 for _, c, _ in walk)) == (lines, points)
+
+    counted = []
+
+    def counting_walk(*args):
+        counted.append(0)
+        for line in _walk(*args):
+            counted[-1] += 1
+            yield line
+
+    monkeypatch.setattr(polytope, "_walk", counting_walk)
+    assert dimension(lam, TypeC(4)) == points
+    assert sum(graded_character(lam, TypeC(4)).values()) == points
+    assert counted == [lines, lines]
+
+
+@pytest.mark.parametrize(
+    "n, lam", [(3, (3, 3, 3)), (4, (1, 1, 1, 1)), (4, (2, 1, 1, 1))], ids=str
+)
+def test_large_weights_match_weyl(n, lam):
+    assert dimension(lam, TypeC(n)) == weyl_dimension(lam, n)
+    assert at_q1(graded_character(lam, TypeC(n))) == weyl_character(lam, n)
 
 
 def per_point_character(lam, system):
