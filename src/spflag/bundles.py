@@ -4,11 +4,14 @@ Everything here is free-abelian-group bookkeeping: a bundle is an integer
 vector over the determinant bundles omega_{i,j}, (i,j) in P_d, tensor product
 is addition.  The divisor classes O(Z_{i,j}) expand into that basis, the
 anticanonical comparison determines the discrepancy coefficients b_{i,j}, and
-two independent routes compute them: a closed-form case list and a triangular
-solve in column order.
+two independent routes compute them: a closed form and a triangular solve in
+column order.  The formulas indexed by d = (d_1, ..., d_k) read it with
+d_0 = 0 and, where a last term is needed, one closing term d_{k+1}.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
 
 from .rootsys import TypeC, boundary_pairs, index_pairs, radical_pairs
 
@@ -25,7 +28,9 @@ def _add(ledger: Ledger, key: Pair, val: int) -> None:
 
 
 def divisor_class(i: int, j: int, d: tuple[int, ...], n: int) -> Ledger:
-    """Expansion of O(Z_{i,j}) in the omega basis.
+    """Expansion of O(Z_{i,j}) in the omega basis: omega_{i,j} - omega_{i-1,j}
+    - omega_{i,j+1} + omega_{i-1,j+1}, with omega_{i-1,j} counted twice on the
+    wall i + j = 2n.
 
     Indices that are not valid root pairs (j+1 past the wall, or i-1 = 0) are
     simply omitted; every surviving index is required to lie in P_d.
@@ -44,47 +49,26 @@ def divisor_class(i: int, j: int, d: tuple[int, ...], n: int) -> Ledger:
         _add(out, (a, b), val)
 
     put(i, j, 1)
-    if i == 1:
-        put(1, j + 1, -1)
-    elif i + j < 2 * n:
-        put(i - 1, j, -1)
-        put(i, j + 1, -1)
-        put(i - 1, j + 1, 1)
-    else:
-        put(i - 1, j, -2)
-        put(i - 1, j + 1, 1)
+    put(i - 1, j, -2 if i + j == 2 * n else -1)
+    put(i, j + 1, -1)
+    put(i - 1, j + 1, 1)
     return out
 
 
 def tilde_omega(d: tuple[int, ...], n: int) -> Ledger:
-    """Anticanonical exponents on the diagonal indices (d_l, d_l).
-
-    For a single index the first and last factors collide and the exponent is
-    2n+1-d_1 (with d_0 = 0), matching the classical index of the isotropic
-    Grassmannian.
-    """
-    d = tuple(d)
-    k = len(d)
-    if k == 1:
-        return {(d[0], d[0]): 2 * n + 1 - d[0]}
-    out: Ledger = {(d[0], d[0]): d[1], (d[-1], d[-1]): 2 * n + 1 - d[-1] - d[-2]}
-    for l in range(1, k - 1):
-        _add(out, (d[l], d[l]), d[l + 1] - d[l - 1])
-    return out
+    """Anticanonical exponents d_{l+1} - d_{l-1} at (d_l, d_l), read with d_0 = 0
+    and d_{k+1} = 2n+1-d_k (for k = 1, the index of the isotropic Grassmannian)."""
+    dd = (0, *d, 2 * n + 1 - d[-1])
+    return {(dl, dl): dd[l + 1] - dd[l - 1] for l, dl in enumerate(d, start=1)}
 
 
 def nonexceptional_pairs(d: tuple[int, ...], n: int) -> frozenset[Pair]:
-    """Divisors whose image keeps full dimension."""
+    """Divisors whose image keeps full dimension: (d_l+1, d_m-1) for m >= l+2
+    and (d_l+1, 2n-d_l-1) for l < k, read with d_0 = 0, that lie in P_d."""
     d = tuple(d)
-    k = len(d)
-    out = {(1, 2 * n - 1)}
-    for m in range(1, k):
-        out.add((1, d[m] - 1))
-    for l in range(k):
-        for m in range(l + 2, k):
-            out.add((d[l] + 1, d[m] - 1))
-    for l in range(k - 1):
-        out.add((d[l] + 1, 2 * n - d[l] - 1))
+    dd = (0, *d)
+    out = {(a + 1, b - 1) for l, a in enumerate(dd) for b in dd[l + 2 :]}
+    out |= {(a + 1, 2 * n - a - 1) for a in dd[:-1]}
     return frozenset(out & radical_pairs(d, n))
 
 
@@ -95,42 +79,22 @@ def is_exceptional(i: int, j: int, d: tuple[int, ...], n: int) -> bool:
 
 
 def discrepancy_b(i: int, j: int, d: tuple[int, ...], n: int) -> int:
-    """Closed-form discrepancy coefficient b_{i,j} (with d_0 = 0).
+    """Closed-form discrepancy coefficient b_{i,j}, read with d_0 = 0.
 
-    Exactly one case of the region split applies: columns left of d_k, the
-    band between d_k and the anti-diagonal wall, and the wall region where the
-    anti-diagonal entry i = 2n-j is its own case.
+    `below` is the largest d_l < i; left of column d_k, d_s is the least d_s > j.
+    From column d_k on, `prev` is the largest d_l < 2n-j.
     """
     d = tuple(d)
     if (i, j) not in radical_pairs(d, n):
         raise ValueError(f"({i},{j}) is not in P_d")
-    k = len(d)
-    dd = (0,) + d  # dd[l] = d_l with d_0 = 0
-
-    def band(i0: int) -> int:
-        """l with d_l + 1 <= i0 <= d_{l+1}."""
-        for l in range(k):
-            if dd[l] + 1 <= i0 <= dd[l + 1]:
-                return l
-        raise ValueError(f"row {i0} matches no case")
-
+    dd = (0, *d)
+    below = dd[bisect_left(d, i)]
     if j < d[-1]:
-        for s in range(2, k + 1):
-            if dd[s - 1] <= j <= dd[s] - 1:
-                return dd[s] - dd[band(i)] - j + i - 1
-        raise ValueError(f"column {j} matches no case")
-    if j < 2 * n - d[-1]:
-        return 2 * n - d[-1] - dd[band(i)] - j + i
-    for s in range(1, k + 1):
-        if 2 * n - dd[s] <= j <= 2 * n - dd[s - 1] - 1:
-            if i == 2 * n - j:
-                return 2 * n - j - dd[s - 1]
-            if dd[s - 1] + 1 <= i <= dd[s] - 1:
-                return 2 * n - 2 * dd[s - 1] - j + i
-            for l in range(1, s):
-                if dd[l - 1] + 1 <= i <= dd[l]:
-                    return 2 * n - dd[s - 1] - dd[l - 1] - j + i
-    raise ValueError(f"({i},{j}) matches no case")
+        return d[bisect_right(d, j)] - below - j + i - 1
+    prev = dd[bisect_left(d, 2 * n - j)]
+    if i == 2 * n - j:
+        return i - prev
+    return 2 * n - prev - below - j + i
 
 
 def _lhs_vector(d: tuple[int, ...], n: int) -> Ledger:

@@ -356,12 +356,17 @@ def _load_flag(path: str) -> tuple[geometry.FlagPoint, int]:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise TypeError("the top level must be a JSON object")
+        for key in ("n", "d", "spaces"):
+            if key not in doc:
+                raise ValueError(f"missing key {key!r}")
         n = _json_int(doc["n"], "n")
         d = tuple(_json_int(x, "an entry of d") for x in _json_list(doc["d"], "d"))
         spaces = tuple(
             _matrix_from_json(m, 2 * n) for m in _json_list(doc["spaces"], "spaces")
         )
-    except (OSError, KeyError, ValueError, TypeError, ArithmeticError, RecursionError) as exc:
+    except (OSError, ValueError, TypeError, ArithmeticError, RecursionError) as exc:
         raise UsageError(f"cannot read flag point from {path}: {exc}")
     _valid_d(d, n)
     if len(spaces) != len(d):

@@ -142,20 +142,14 @@ def radical_pairs(d: tuple[int, ...], n: int) -> frozenset[tuple[int, int]]:
 
 @lru_cache(maxsize=None)
 def boundary_pairs(d: tuple[int, ...], n: int) -> frozenset[tuple[int, int]]:
-    """The subset B_d of P_d: runs up each column d_m, across to the next one,
-    and along row d_k out to (d_k, 2n-d_k)."""
+    """The subset B_d of P_d: up each column d_m from row d_{m-1}+1, then along
+    row d_m out to column d_{m+1}, read with d_0 = 0 and d_{k+1} = 2n-d_k."""
     check_d(d, n)
-    k = len(d)
+    dd = (0, *d, 2 * n - d[-1])
     out = set()
-    for m in range(k):
-        lo = d[m - 1] + 1 if m > 0 else 1
-        for i in range(lo, d[m] + 1):
-            out.add((i, d[m]))
-        if m < k - 1:
-            for j in range(d[m] + 1, d[m + 1] + 1):
-                out.add((d[m], j))
-    for j in range(d[-1] + 1, 2 * n - d[-1] + 1):
-        out.add((d[-1], j))
+    for m in range(1, len(d) + 1):
+        out.update((i, dd[m]) for i in range(dd[m - 1] + 1, dd[m] + 1))
+        out.update((dd[m], j) for j in range(dd[m] + 1, dd[m + 1] + 1))
     return frozenset(out)
 
 

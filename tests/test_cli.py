@@ -267,6 +267,17 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
         fails(["lift", "--input", str(path)])
         fails(["check-geometry", "--input", str(path)])
 
+    # The message names the fault, not the Python error it would raise.
+    for text, message in (
+        ("[1, 2]", "the top level must be a JSON object"),
+        ('{"n": 1, "d": [1]}', "missing key 'spaces'"),
+    ):
+        path = tmp_path / "named.json"
+        path.write_text(text)
+        fails(["lift", "--input", str(path)])
+        assert run(["check-geometry", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: cannot read flag point from {path}: {message}\n"
+
     # A member whose entries have 4000 digits, within the input limit: the
     # lift's entry (C/D)/(A/B) has 8000, too many to write as a string.
     a_b, c_d = "1" * 4000 + "/" + "7" * 3999 + "3", "3" * 3999 + "1/2" + "9" * 3999

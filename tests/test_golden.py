@@ -1,5 +1,5 @@
-"""Golden stdout digests of the CLI at n <= 3, and of `qchar`, `weyl`, `lift`
-and `fixed-points` at n = 4.
+"""Golden stdout digests of the CLI at n <= 3, of `qchar`, `weyl`, `lift` and
+`fixed-points` at n = 4, and of `discrepancy` for every d at n = 4, 5 and 6.
 
 Each entry is the exit status and the sha256 of the exact bytes a command
 writes to stdout.  The contract in docs/formats.md promises byte-identical
@@ -13,6 +13,8 @@ import json
 import pytest
 
 from spflag.cli import run
+
+from support import all_d
 
 # An open-cell point of SpF_(1,2,3,4) at n = 4 (random_sp_flag, seed 4):
 # OPEN4[k] is a basis of V_{k+1}.
@@ -248,3 +250,19 @@ def test_nonmember_lift_error_text(name, tmp_path, capsys):
     assert run(["lift", "--input", str(path)]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc == {"command": "lift", "error": "incompatible constraints at (2,2)"}
+
+
+# Exit status and stdout of `discrepancy` for every d at n = 4, 5 and 6, in
+# JSON and CSV, in the order of `all_d`: 218 commands, `--force` above n = 4.
+DISCREPANCY_4_TO_6 = "0599e2aa7b04bfcbeef2de62049460db98d022a17b7a3fedb84f4452c20fa1dd"
+
+
+def test_discrepancy_digest_every_d_at_n_4_to_6(capsys):
+    h = hashlib.sha256()
+    for n in (4, 5, 6):
+        for d in all_d(n):
+            for fmt in ("json", "csv"):
+                argv = ["discrepancy", "--n", str(n), "--d", ",".join(map(str, d)), "--format", fmt]
+                rc = run(argv + (["--force"] if n > 4 else []))
+                h.update(f"{rc}\n".encode() + capsys.readouterr().out.encode())
+    assert h.hexdigest() == DISCREPANCY_4_TO_6
