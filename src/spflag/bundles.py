@@ -2,9 +2,10 @@
 
 Everything here is free-abelian-group bookkeeping: a bundle is an integer
 vector over the determinant bundles omega_{i,j}, (i,j) in P_d, tensor product
-is addition.  The divisor classes O(Z_{i,j}) expand into that basis, the
-anticanonical comparison determines the discrepancy coefficients b_{i,j}, and
-two independent routes compute them: a closed form and a triangular solve in
+is addition.  The divisor classes O(Z_{i,j}) expand into that basis, and
+`divisor_terms` is the one place that expansion is stated.  The anticanonical
+comparison determines the discrepancy coefficients b_{i,j}, and two
+independent routes compute them: a closed form and a triangular solve in
 column order.  The formulas indexed by d = (d_1, ..., d_k) read it with
 d_0 = 0 and, where a last term is needed, one closing term d_{k+1}.
 """
@@ -12,6 +13,7 @@ d_0 = 0 and, where a last term is needed, one closing term d_{k+1}.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 
 from .rootsys import TypeC, boundary_pairs, index_pairs, radical_pairs
 
@@ -19,40 +21,21 @@ Pair = tuple[int, int]
 Ledger = dict[Pair, int]
 
 
-def _add(ledger: Ledger, key: Pair, val: int) -> None:
-    s = ledger.get(key, 0) + val
-    if s:
-        ledger[key] = s
-    else:
-        ledger.pop(key, None)
-
-
-def divisor_class(i: int, j: int, d: tuple[int, ...], n: int) -> Ledger:
-    """Expansion of O(Z_{i,j}) in the omega basis: omega_{i,j} - omega_{i-1,j}
+def divisor_terms(i: int, j: int, n: int) -> Iterator[tuple[Pair, int]]:
+    """The terms ((a, b), coefficient) of O(Z_{i,j}) in the omega basis, the
+    one place its expansion is stated: omega_{i,j} - omega_{i-1,j}
     - omega_{i,j+1} + omega_{i-1,j+1}, with omega_{i-1,j} counted twice on the
     wall i + j = 2n.
 
-    Indices that are not valid root pairs (j+1 past the wall, or i-1 = 0) are
-    simply omitted; every surviving index is required to lie in P_d.
+    An index that is not a root pair (i-1 = 0, or (i, j+1) past the wall) is
+    omitted, so the keys are distinct and the coefficients nonzero.
     """
-    d = tuple(d)
-    pairs = radical_pairs(d, n)
-    if (i, j) not in pairs:
-        raise ValueError(f"({i},{j}) is not in P_d")
-    out: Ledger = {}
-
-    def put(a: int, b: int, val: int) -> None:
-        if a < 1 or a > b or a + b > 2 * n:
-            return
-        if (a, b) not in pairs:
-            raise ValueError(f"omega index ({a},{b}) demanded outside P_d")
-        _add(out, (a, b), val)
-
-    put(i, j, 1)
-    put(i - 1, j, -2 if i + j == 2 * n else -1)
-    put(i, j + 1, -1)
-    put(i - 1, j + 1, 1)
-    return out
+    yield (i, j), 1
+    if i > 1:
+        yield (i - 1, j), -2 if i + j == 2 * n else -1
+        yield (i - 1, j + 1), 1
+    if i + j < 2 * n:
+        yield (i, j + 1), -1
 
 
 def tilde_omega(d: tuple[int, ...], n: int) -> Ledger:
@@ -98,9 +81,10 @@ def discrepancy_b(i: int, j: int, d: tuple[int, ...], n: int) -> int:
 
 
 def _lhs_vector(d: tuple[int, ...], n: int) -> Ledger:
+    """tilde_omega minus one omega per boundary pair; a key may hold 0."""
     out: Ledger = dict(tilde_omega(d, n))
     for ij in boundary_pairs(d, n):
-        _add(out, ij, -1)
+        out[ij] = out.get(ij, 0) - 1
     return out
 
 
@@ -136,17 +120,22 @@ def verify_canonical_identity(
     closed-form `discrepancy_b` of every pair of P_d (as `discrepancy_table`
     holds them).
 
-    Expands sum b_{i,j} O(Z_{i,j}) and subtracts the boundary/diagonal side;
-    returns (True, {}) on exact match, else (False, residual vector).
+    Expands sum b_{i,j} O(Z_{i,j}) by `divisor_terms` and subtracts the
+    boundary/diagonal side; returns (True, {}) on exact match, else (False,
+    residual vector).  An omega index outside P_d raises ValueError.
     """
     d = tuple(d)
-    residual: Ledger = {}
-    for i, j in radical_pairs(d, n):
+    pairs = radical_pairs(d, n)
+    sums: Ledger = {}
+    for i, j in pairs:
         coeff = b[(i, j)]
-        for key, val in divisor_class(i, j, d, n).items():
-            _add(residual, key, coeff * val)
+        for key, val in divisor_terms(i, j, n):
+            if key not in pairs:
+                raise ValueError(f"omega index ({key[0]},{key[1]}) demanded outside P_d")
+            sums[key] = sums.get(key, 0) + coeff * val
     for key, val in _lhs_vector(d, n).items():
-        _add(residual, key, -val)
+        sums[key] = sums.get(key, 0) - val
+    residual = {key: val for key, val in sums.items() if val}
     return (not residual), residual
 
 

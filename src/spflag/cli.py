@@ -303,14 +303,20 @@ def cmd_discrepancy(args) -> Output:
         writer.writeheader()
         writer.writerows(rows)
         return code, [buf.getvalue()]
-    doc = {
-        "command": "discrepancy",
-        "n": args.n,
-        "d": list(d),
-        "rows": rows,
-        "canonical_identity": identity_ok,
-    }
-    return code, [_text(doc)]
+    head = {"command": "discrepancy", "n": args.n, "d": list(d)}
+    return code, _document(head, "rows", _rows(rows, identity_ok))
+
+
+def _rows(rows: list[dict], identity_ok: bool) -> Generator[str, None, dict]:
+    """The `rows` of the `discrepancy` document as one chunk, each row written
+    as `_text` would write it; it returns the member after them.  `rows` is
+    never empty: (d_1, d_1) lies in P_d."""
+    yield ",".join(
+        f'\n    {{\n      "i": {r["i"]},\n      "j": {r["j"]},\n      "b": {r["b"]},\n'
+        f'      "exceptional": {"true" if r["exceptional"] else "false"}\n    }}'
+        for r in rows
+    )
+    return {"canonical_identity": identity_ok}
 
 
 def _json_list(value, what: str) -> list:

@@ -8,7 +8,8 @@ test, which `geometry.in_sp_grass_a` is compared against.  `times`, `at_q1`,
 `signed_permutation` and `coordinate_span` are the Laurent products, the q = 1
 specialization, the variable substitutions and the coordinate subspaces that
 the checks need and no command runs; the Laurent polynomials are `Terms`
-dicts, as the library's characters are.
+dicts, as the library's characters are.  `divisor_class` is the ledger of one
+divisor, built on `bundles.divisor_terms`, that the bundle tests read.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import random
 from collections.abc import Iterator
 from fractions import Fraction as Q
 
+from spflag.bundles import divisor_terms
 from spflag.charring import Exponent, Terms
 from spflag.fixedpoints import Collection, Point, iter_fixed_points
 from spflag.geometry import (
@@ -31,12 +33,25 @@ from spflag.geometry import (
     symplectic_form,
 )
 from spflag.polytope import LatticePoint, PolytopeSpec, polytope_spec
-from spflag.rootsys import TypeA, TypeC, index_pairs
+from spflag.rootsys import TypeA, TypeC, index_pairs, radical_pairs
 
 
 def fixed_points(n: int) -> Iterator[Collection]:
     """Each admissible collection in tower order, as a dict from (i,j) to S_{i,j}."""
     return (dict(parts) for parts in iter_fixed_points(n, lambda key, s: (key, s)))
+
+
+def divisor_class(i: int, j: int, d: tuple[int, ...], n: int) -> dict[tuple[int, int], int]:
+    """O(Z_{i,j}) in the omega basis as a ledger: the terms of
+    `divisor_terms`, each index required to lie in P_d, as is (i, j)."""
+    pairs = radical_pairs(tuple(d), n)
+    if (i, j) not in pairs:
+        raise ValueError(f"({i},{j}) is not in P_d")
+    out = dict(divisor_terms(i, j, n))
+    for a, b in out:
+        if (a, b) not in pairs:
+            raise ValueError(f"omega index ({a},{b}) demanded outside P_d")
+    return out
 
 
 def in_sp_grass_a_respan(u: Subspace, k: int, n: int) -> bool:

@@ -1,9 +1,9 @@
 import pytest
 
+from spflag import bundles
 from spflag.bundles import (
     discrepancy_b,
     discrepancy_table,
-    divisor_class,
     is_exceptional,
     nonexceptional_pairs,
     solve_b,
@@ -12,7 +12,7 @@ from spflag.bundles import (
 )
 from spflag.rootsys import radical_pairs
 
-from support import all_d
+from support import all_d, divisor_class
 
 
 def test_divisor_class_cases_n2():
@@ -92,8 +92,9 @@ def test_complete_case_list_matches_closed_criterion(n):
 
 
 # The next three run over every d at n = 1..8.  `solve_b` reads `tilde_omega`
-# and `boundary_pairs`, the identity reads `divisor_class`, and the closed form
-# `discrepancy_b` reads none of them.
+# and `boundary_pairs`, the identity reads `divisor_terms`, the one place the
+# expansion of O(Z_{i,j}) is stated, and the closed form `discrepancy_b` reads
+# none of them.
 @pytest.mark.parametrize("n", range(1, 9))
 def test_solve_matches_closed_form(n):
     for d in all_d(n):
@@ -117,6 +118,26 @@ def test_canonical_identity(n):
         b = {(i, j): discrepancy_b(i, j, d, n) for i, j in radical_pairs(d, n)}
         ok, residual = verify_canonical_identity(d, n, b)
         assert ok and not residual, (n, d, residual)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_canonical_identity_catches_a_wrong_b(n):
+    # One b raised by 1 leaves exactly that divisor's class as the residual.
+    for d in all_d(n):
+        closed = {(r["i"], r["j"]): r["b"] for r in discrepancy_table(d, n)}
+        for i, j in radical_pairs(d, n):
+            ok, residual = verify_canonical_identity(d, n, {**closed, (i, j): closed[(i, j)] + 1})
+            assert not ok and residual == divisor_class(i, j, d, n), (n, d, (i, j))
+
+
+def test_canonical_identity_refuses_an_index_outside_p_d(monkeypatch):
+    # P_d without (1, 2): the class of (1, 1) demands omega_{1,2}.
+    d, n = (1, 2), 2
+    pairs = radical_pairs(d, n)
+    b = {ij: 1 for ij in pairs}
+    monkeypatch.setattr(bundles, "radical_pairs", lambda d, n: pairs - {(1, 2)})
+    with pytest.raises(ValueError, match=r"omega index \(1,2\) demanded outside P_d"):
+        verify_canonical_identity(d, n, b)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

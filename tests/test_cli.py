@@ -2,22 +2,24 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spflag
-from spflag import cli, fixedpoints, polytope
+from spflag import bundles, cli, fixedpoints, polytope
 from spflag.cli import run
 from spflag.geometry import Subspace
 from spflag.rootsys import TypeA, TypeC
 
-from support import fixed_points
+from support import all_d, fixed_points
 from test_golden import GOLDEN
 
 
@@ -201,6 +203,31 @@ def test_discrepancy_csv(capture):
     lines = out.strip().splitlines()
     assert lines[0] == "i,j,b,exceptional"
     assert "1,2,3,True" in lines
+
+
+@pytest.mark.parametrize("ok", [True, False])
+def test_rows_writer_equals_the_encoder(ok):
+    # No command prints `"canonical_identity": false`, so no digest covers it.
+    for n in range(1, 7):
+        for d in all_d(n):
+            rows = bundles.discrepancy_table(d, n)
+            head = {"command": "discrepancy", "n": n, "d": list(d)}
+            text = "".join(cli._document(head, "rows", cli._rows(rows, ok)))
+            doc = {**head, "rows": rows, "canonical_identity": ok}
+            assert text == json.dumps(doc, indent=2), (n, d, ok)
+
+
+# A fenced block of docs/formats.md that follows "The whole output of `argv`:".
+WHOLE_OUTPUT = re.compile(r"whole\s+output\s+of\s+`([^`]+)`:\n\n```json\n(.*?)```", re.S)
+
+
+def test_whole_outputs_in_the_formats_page_are_the_commands_stdout(capture):
+    page = (Path(__file__).parents[1] / "docs" / "formats.md").read_text(encoding="utf-8")
+    blocks = WHOLE_OUTPUT.findall(page)
+    assert {argv.split()[0] for argv, _ in blocks} >= {"qchar", "discrepancy"}
+    for argv, block in blocks:
+        rc, out = capture(argv.split())
+        assert rc == 0 and out == block, argv
 
 
 def test_usage_errors(capsys, monkeypatch, tmp_path):
