@@ -131,25 +131,19 @@ def _document(head: dict, key: str, body: Iterable[str]) -> Iterator[str]:
 
 def _text(value, depth: int = 0) -> str:
     """`value` at `depth` in the layout of `json.dumps(value, indent=2)`,
-    the layout of every JSON document (docs/formats.md): dicts with str keys,
-    lists, str, int, bool and None, as one string."""
+    the layout of every JSON document (docs/formats.md): nonempty dicts with
+    str keys, nonempty lists, str, int and bool, as one string."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
     pad = "\n" + "  " * (depth + 1)
     if isinstance(value, list):
-        if not value:
-            return "[]"
         items = [_text(x, depth + 1) for x in value]
         return f"[{pad}" + f",{pad}".join(items) + f"{pad[:-2]}]"
     if isinstance(value, dict):
-        if not value:
-            return "{}"
         items = [f"{encode_basestring_ascii(k)}: {_text(v, depth + 1)}" for k, v in value.items()]
         return f"{{{pad}" + f",{pad}".join(items) + f"{pad[:-2]}}}"
     raise TypeError(f"cannot write {type(value).__name__} as JSON")
@@ -266,10 +260,11 @@ def _collections(n: int) -> Iterator[str]:
 
 
 def cmd_fixed_points(args) -> Output:
-    # Refused unbuilt: 2^(n^2) has over d digits once n^2 >= 4d, as 16^d > 10^d (no d before 3.10.7).
-    if (digits := getattr(sys, "get_int_max_str_digits", int)()) and args.n * args.n >= 4 * digits:
-        raise UsageError(f"cannot write the count: 2^{args.n * args.n} has more than {digits} digits")
-    count = _writable(2 ** (args.n * args.n), "the count")
+    # Refused unbuilt: 2^k has over D digits iff k >= bit_length(10^D) (no D before 3.10.7).
+    k = args.n * args.n
+    if (digits := getattr(sys, "get_int_max_str_digits", int)()) and k >= (10**digits).bit_length():
+        raise UsageError(f"cannot write the count: 2^{k} has more than {digits} digits")
+    count = 2**k
     head = {"command": "fixed-points", "n": args.n, "count": count}
     if args.count:
         # Every step of the tower has two branches (`_pool` raises otherwise),
@@ -375,12 +370,10 @@ def _load_flag(path: str) -> tuple[geometry.FlagPoint, int]:
     except (OSError, ValueError, TypeError, ArithmeticError, RecursionError) as exc:
         raise UsageError(f"cannot read flag point from {path}: {exc}")
     _valid_d(d, n)
-    if len(spaces) != len(d):
-        raise UsageError("number of spaces does not match d")
-    for dl, v in zip(d, spaces):
-        if v.dim != dl:
-            raise UsageError(f"V_{dl} has dimension {v.dim}, not {dl}")
-    return geometry.FlagPoint(d, spaces), n
+    try:
+        return geometry.FlagPoint(d, spaces), n
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def cmd_check_geometry(args) -> Output:

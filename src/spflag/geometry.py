@@ -131,8 +131,8 @@ class Subspace:
     """Row space of an exact rational matrix, canonicalized by `rref`.
 
     `rows` is the RREF with each row scaled to a primitive int vector whose
-    pivot is positive.  The form is unique, so equality and hashing read it;
-    membership and isotropy are tested on it."""
+    pivot is positive.  The form is unique, so equality reads it; membership
+    and isotropy are tested on it."""
 
     __slots__ = ("rows", "pivots", "ambient")
 
@@ -186,17 +186,10 @@ class Subspace:
             and self.rows == other.rows
         )
 
-    def __hash__(self) -> int:
-        return hash((self.ambient, self.rows))
-
-    def __repr__(self) -> str:
-        return f"Subspace(dim={self.dim}, ambient={self.ambient})"
-
     def contains_vector(self, v) -> bool:
-        """Whether v lies in the subspace: v, cleared of denominators, is
-        eliminated against `rows` by v <- p*v - v[c]*row for each row
-        with pivot p in column c, and the residual is zero."""
-        v = _integral(v)
+        """Whether v lies in the subspace: v is eliminated against `rows` by
+        v <- p*v - v[c]*row for each row with pivot p in column c, and the
+        residual is zero."""
         for row, c in zip(self.rows, self.pivots):
             f = v[c]
             if f:
@@ -260,9 +253,9 @@ def form_value(u, v, c):
 
 
 def is_isotropic(u: Subspace, n: int, c=None) -> bool:
-    """Whether the form c (default J) vanishes on u: the int rows of u pair
-    to zero under c cleared of denominators; scaling changes neither."""
-    c = _integral(c if c is not None else symplectic_form(n))
+    """Whether the form c (default J) vanishes on u: the rows of u pair to
+    zero under c."""
+    c = c if c is not None else symplectic_form(n)
     rows = u.rows
     return all(form_value(rows[a], b, c) == 0 for a in range(len(rows)) for b in rows[a + 1:])
 
@@ -282,21 +275,22 @@ def in_sp_grass_a(u: Subspace, k: int, n: int) -> bool:
 
 @dataclass(frozen=True)
 class FlagPoint:
-    """Collection (V_{d_1},...,V_{d_k}) of subspaces of Q^{2n}."""
+    """Collection (V_{d_1},...,V_{d_k}) of subspaces of Q^{2n}, dim V_{d_l} = d_l."""
 
     d: tuple[int, ...]
     spaces: tuple[Subspace, ...]
 
     def __post_init__(self) -> None:
         if len(self.d) != len(self.spaces):
-            raise ValueError("index list and space list lengths differ")
+            raise ValueError("number of spaces does not match d")
+        for dl, v in zip(self.d, self.spaces):
+            if v.dim != dl:
+                raise ValueError(f"V_{dl} has dimension {v.dim}, not {dl}")
 
 
 def in_sp_flag_a(flag: FlagPoint, n: int) -> bool:
     """Each space passes the Grassmannian test and projected inclusions hold."""
     for dl, v in zip(flag.d, flag.spaces):
-        if v.dim != dl:
-            raise ValueError(f"dim V_{dl} = {v.dim}")
         if not in_sp_grass_a(v, dl, n):
             return False
     for l in range(len(flag.d) - 1):
@@ -388,9 +382,6 @@ def lift(flag: FlagPoint, n: int) -> ResolutionPoint:
     pairs = radical_pairs(d, n)
     j_form = symplectic_form(n)
     anchors = dict(zip(d, flag.spaces))
-    for dl, v in anchors.items():
-        if v.dim != dl:
-            raise ValueError(f"anchor V_{dl} has dim {v.dim}")
     spaces: dict[tuple[int, int], Subspace] = {}
     for i, j in reversed(index_pairs(TypeC(n))):
         if (i, j) not in pairs:
