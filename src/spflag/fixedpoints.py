@@ -421,11 +421,11 @@ def evaluate(terms: Terms, pt: Point) -> Fraction:
 
 def abl_verify(m_vec: tuple[int, ...], n: int, trials: int, seed: int) -> dict:
     """Compare the localization sum with the polytope character as exact
-    Laurent polynomials, directly or with inverted variables, and report the
-    values at random rational points.
+    Laurent polynomials, and report the values at random rational points.
 
-    `matched` and `convention` come from polynomial equality alone.  On a
-    match a row's two values are the character's value, on a mismatch the
+    `matched` comes from polynomial equality alone; both sides are in the
+    direct convention, which the document's `convention` names.  On a match
+    a row's two values are the character's value, on a mismatch the
     localization sum is evaluated too.  A sampled point at which the sum is
     undefined collection by collection is skipped.
     """
@@ -434,8 +434,7 @@ def abl_verify(m_vec: tuple[int, ...], n: int, trials: int, seed: int) -> dict:
     rng = random.Random(seed)
     gc = graded_character(tuple(m_vec), TypeC(n))
     abl = abl_character(tuple(m_vec), n)
-    inverted = {tuple(-x for x in e): c for e, c in gc.items()}  # z_i -> 1/z_i, q -> 1/q
-    convention = "direct" if abl == gc else "inverted" if abl == inverted else None
+    matched = abl == gc
     deltas = _tower_deltas(n)
     points: list[Point] = []
     attempts = 0
@@ -449,7 +448,7 @@ def abl_verify(m_vec: tuple[int, ...], n: int, trials: int, seed: int) -> dict:
     rows = []
     for pt in points:
         rhs = evaluate(gc, pt)
-        lhs = rhs if convention else evaluate(abl, pt)
+        lhs = rhs if matched else evaluate(abl, pt)
         rows.append(
             {
                 "z": [str(z) for z in pt[1:]],
@@ -465,6 +464,6 @@ def abl_verify(m_vec: tuple[int, ...], n: int, trials: int, seed: int) -> dict:
         "trials": trials,
         "seed": seed,
         "points": rows,
-        "matched": convention is not None,
-        "convention": convention or "direct",
+        "matched": matched,
+        "convention": "direct",
     }

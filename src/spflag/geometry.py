@@ -3,7 +3,8 @@
 A subspace of W = Q^{2n} is stored as its reduced row echelon form with each
 row scaled to a primitive int vector whose pivot is positive.  That form is
 unique, so equality of subspaces is equality of int matrices.  Elimination,
-membership and isotropy run over Python ints; Fractions are built only to
+membership and isotropy run over Python ints; elimination and membership
+share one reduction step, `_reduce` (see `rref`).  Fractions are built only to
 order the candidates of `_extend_choice` by their RREF over Fraction
 (`Subspace.fraction_rows`).  Flag files hold rational entries: `cleared`
 reads a row of them as ints, and `Subspace.text_rows` writes the RREF in
@@ -54,42 +55,48 @@ def _integral(row) -> list[int]:
     return cleared([(x.numerator, x.denominator) for x in row])
 
 
-def rref(rows) -> Matrix:
-    """Reduced row echelon form, zero rows dropped, each row scaled to a
-    primitive int vector with a positive pivot: the form `Subspace` stores.
+def _reduce(rows, pivots, v):
+    """v eliminated against RREF rows: v <- p*v - v[c]*row for each row with
+    pivot p in column c.  The result is zero iff v lies in the rows' span."""
+    for row, c in zip(rows, pivots):
+        f = v[c]
+        if f:
+            p = row[c]
+            v = [p * a - f * b for a, b in zip(v, row)]
+    return v
 
-    The elimination runs over Python ints (fraction-free Gauss-Jordan, as in
-    Bareiss 1968): each row is cleared of denominators; a pivot row r, made
-    primitive with pivot p = row_r[c] > 0, clears column c of row k by
-    p*row_k - f*row_r with f = row_k[c], which keeps any pivot of row k
-    positive, and the new row is divided by the gcd of its entries.  Rows
-    must have equal length and int or Fraction entries."""
-    work = [_integral(row) for row in rows]
-    if not work:
-        return ()
-    ncols = len(work[0])
-    if any(len(row) != ncols for row in work):
+
+def rref(rows, start: Matrix = ()) -> Matrix:
+    """Reduced row echelon form of `start` and `rows` together, zero rows
+    dropped, each row a primitive int vector with a positive pivot: the form
+    `Subspace` stores.  `start` must be in that form already; only `rows` are
+    eliminated, over Python ints (fraction-free, as in Bareiss 1968).  Each
+    row, cleared of denominators, is `_reduce`d against the form so far and
+    dropped if nothing is left; otherwise it is made primitive with pivot
+    p > 0 in column c, and each earlier row r with r[c] != 0 becomes
+    p*r - r[c]*row (a `_reduce` by the new row, keeping r's pivot positive)
+    divided by its gcd.  Rows, `start`'s included, must have equal length and
+    int or Fraction entries."""
+    work = list(start)
+    pivots = list(pivot_columns(start))
+    new = [_integral(row) for row in rows]
+    if len({len(row) for row in work[:1] + new}) > 1:
         raise ValueError("rows of unequal length")
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        piv = next((k for k in range(r, len(work)) if work[k][col]), None)
-        if piv is None:
+    for v in new:
+        v = _reduce(work, pivots, v)
+        if not any(v):
             continue
-        work[r], work[piv] = work[piv], work[r]
-        g = gcd(*work[r]) if work[r][col] > 0 else -gcd(*work[r])
-        top = work[r] = [a // g for a in work[r]]
-        p = top[col]
-        for k, row in enumerate(work):
-            f = row[col]
-            if f and k != r:
-                row = [p * a - f * b for a, b in zip(row, top)]
-                g = gcd(*row)
-                work[k] = [a // g for a in row] if g > 1 else row
-        pivots.append(col)
-        if len(pivots) == len(work):
-            break
-    return tuple(map(tuple, work[:len(pivots)]))
+        c = next(c for c, x in enumerate(v) if x)
+        g = gcd(*v) if v[c] > 0 else -gcd(*v)
+        v = [a // g for a in v]
+        for k, r in enumerate(work):
+            if r[c]:
+                r = _reduce((v,), (c,), r)
+                g = gcd(*r)
+                work[k] = [a // g for a in r] if g > 1 else r
+        work.append(v)
+        pivots.append(c)
+    return tuple(tuple(row) for _, row in sorted(zip(pivots, work)))
 
 
 def pivot_columns(red: Matrix) -> tuple[int, ...]:
@@ -187,21 +194,14 @@ class Subspace:
         )
 
     def contains_vector(self, v) -> bool:
-        """Whether v lies in the subspace: v is eliminated against `rows` by
-        v <- p*v - v[c]*row for each row with pivot p in column c, and the
-        residual is zero."""
-        for row, c in zip(self.rows, self.pivots):
-            f = v[c]
-            if f:
-                p = row[c]
-                v = [p * a - f * b for a, b in zip(v, row)]
-        return not any(v)
+        """Whether v lies in the subspace: `_reduce` against `rows` leaves 0."""
+        return not any(_reduce(self.rows, self.pivots, v))
 
     def contains(self, other: "Subspace") -> bool:
         return all(self.contains_vector(row) for row in other.rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
-        return Subspace(rref(self.rows + other.rows), self.ambient)
+        return Subspace(rref(other.rows, self.rows), self.ambient)
 
     def annihilator(self) -> list[Vector]:
         """A basis of the linear forms that vanish on the subspace."""
@@ -350,10 +350,8 @@ def _extend_choice(lower: Subspace, bound, form, i: int, j: int, n: int) -> Subs
     while current.dim < i:
         pairing = [_pairing(c, form) for c in current.rows]
         feasible = Subspace.kernel(forms + pairing, 2 * n)
-        candidates = []
-        for x in feasible.rows:
-            if not current.contains_vector(x):
-                candidates.append(current.sum(Subspace.span([x], 2 * n)))
+        grown = [Subspace(rref([x], current.rows), 2 * n) for x in feasible.rows]
+        candidates = [s for s in grown if s.dim > current.dim]
         if not candidates:
             raise LiftError(f"no valid component at ({i},{j})")
         current = min(candidates, key=Subspace.fraction_rows)

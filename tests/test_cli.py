@@ -221,13 +221,22 @@ def test_rows_writer_equals_the_encoder(ok):
 WHOLE_OUTPUT = re.compile(r"whole\s+output\s+of\s+`([^`]+)`:\n\n```json\n(.*?)```", re.S)
 
 
-def test_whole_outputs_in_the_formats_page_are_the_commands_stdout(capture, monkeypatch):
-    # The page's `abl-verify` output is drawn with the default seed 0.
+FLAG_FILE = re.compile(r"## Flag-point files[^\n]*\n\n```json\n(.*?)```", re.S)
+
+
+def test_whole_outputs_in_the_formats_page_are_the_commands_stdout(
+    capture, monkeypatch, tmp_path
+):
+    # The page's `abl-verify` output is drawn with the default seed 0, and its
+    # `check-geometry` and `lift` outputs read the page's flag-point file.
     monkeypatch.delenv("SPFLAG_SEED", raising=False)
     page = (Path(__file__).parents[1] / "docs" / "formats.md").read_text(encoding="utf-8")
+    (tmp_path / "flag.json").write_text(FLAG_FILE.search(page).group(1))
+    monkeypatch.chdir(tmp_path)
     blocks = WHOLE_OUTPUT.findall(page)
     assert {argv.split()[0] for argv, _ in blocks} >= {
-        "qchar", "discrepancy", "polytope", "fixed-points", "abl-verify"}
+        "qchar", "discrepancy", "polytope", "fixed-points", "abl-verify", "check-geometry",
+        "lift"}
     for argv, block in blocks:
         rc, out = capture(argv.split())
         assert rc == 0 and out == block, argv

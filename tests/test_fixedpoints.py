@@ -410,11 +410,14 @@ def _patch_character(monkeypatch, change):
     )
 
 
-def test_abl_verify_retries_in_inverted_variables(monkeypatch):
+def test_abl_verify_does_not_match_in_inverted_variables(monkeypatch, capsys):
+    # A character in the other convention (z -> 1/z, q -> 1/q) is a mismatch.
     _patch_character(monkeypatch, lambda gc: {tuple(-x for x in e): c for e, c in gc.items()})
     report = abl_verify((1, 0), 2, 4, seed=2)
-    assert report["matched"] and report["convention"] == "inverted"
+    assert not report["matched"] and report["convention"] == "direct"
     assert len(report["points"]) == 4
+    rc = run(["abl-verify", "--n", "2", "--lambda", "1,0", "--trials", "4", "--seed", "2"])
+    assert rc == 1 and json.loads(capsys.readouterr().out) == report
 
 
 def test_abl_verify_reports_a_mismatch_in_both_conventions(monkeypatch, capsys):
