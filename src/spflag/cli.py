@@ -2,8 +2,11 @@
 
 Each `cmd_*` returns its exit code and its output as text chunks; `run`
 alone checks the soft limit on n and writes the chunks, to stdout or to
-`--output`.  Exit codes: 0 success / verified, 1 verification failure,
-2 usage error.  JSON and CSV schemas are documented in docs/formats.md.
+`--output`.  `_text` writes every JSON value, and `_document` frames every
+streamed array: the element writers `_terms`, `_collections` and `_rows`
+only yield each element's text.  Exit codes: 0 success / verified,
+1 verification failure, 2 usage error.  JSON and CSV schemas are documented
+in docs/formats.md.
 """
 
 from __future__ import annotations
@@ -16,8 +19,7 @@ import json
 import os
 import re
 import sys
-from collections.abc import Generator, Iterable, Iterator
-from itertools import islice
+from collections.abc import Callable, Iterable, Iterator
 from json.encoder import encode_basestring_ascii
 
 from . import bundles, charring, fixedpoints, geometry, polytope
@@ -119,14 +121,27 @@ def _weight(args) -> tuple[RootSystem, tuple[int, ...]]:
 Output = tuple[int, Iterable[str]]
 
 
-def _document(head: dict, key: str, body: Iterable[str]) -> Iterator[str]:
+def _document(head: dict, key: str, elements: Iterable[list[str]],
+              tail: Callable[[int], dict | None] | None = None) -> Iterator[str]:
     """The indented JSON of `head` with one more member, the array `key`,
-    and then the members of the dict that `body` returns, if it returns one.
-    `body` yields the array's text at depth 2 in pieces, the first starting
-    with "\n" and the others with ","; it must yield at least one."""
+    and then the members of the dict `tail(count)` returns, if it returns one.
+
+    Each element is a list of text pieces at depth 2, the first piece
+    starting with the separator ","; there must be at least one element.
+    Every `_BATCH` elements are one chunk, the join of their pieces, and the
+    first chunk is written without its comma."""
     yield f'{_text(head)[:-2]},\n  "{key}": ['
-    tail = yield from body
-    yield "\n  ]" + ("," + _text(tail)[1:-2] if tail else "") + "\n}"
+    count, batch, comma = 0, [], 1
+    for element in elements:
+        batch += element
+        count += 1
+        if count % _BATCH == 0:
+            yield "".join(batch)[comma:]
+            batch, comma = [], 0
+    if batch:
+        yield "".join(batch)[comma:]
+    members = tail(count) if tail else None
+    yield "\n  ]" + ("," + _text(members)[1:-2] if members else "") + "\n}"
 
 
 def _text(value, depth: int = 0) -> str:
@@ -155,13 +170,12 @@ def _ints(values: Iterable[int], depth: int) -> str:
     return f"[{pad}  " + f",{pad}  ".join(map(str, values)) + f"{pad}]"
 
 
-def _terms(poly: charring.Terms, basis: str) -> Iterator[str]:
+def _terms(poly: charring.Terms, basis: str) -> Iterator[list[str]]:
     """The `terms` of a character, one {"q", "weight", "mult"} element per
     term in exponent order, written as `_text` would write them."""
-    for k, ((q, *ze), c) in enumerate(sorted(poly.items())):
+    for (q, *ze), c in sorted(poly.items()):
         weight = _ints(ze if basis == "eps" else charring.eps_to_omega(ze), 3)
-        yield ((",\n" if k else "\n") + f'    {{\n      "q": {q},\n      "weight": {weight},\n'
-               f'      "mult": {c}\n    }}')
+        yield [f',\n    {{\n      "q": {q},\n      "weight": {weight},\n      "mult": {c}\n    }}']
 
 
 def _writable(value: int, what: str) -> int:
@@ -212,31 +226,17 @@ def cmd_polytope(args) -> Output:
             for idx, bound in spec.inequalities
         ],
     }
-    return 0, _document(head, "points", _points(spec))
+    points = ([f",\n    {_ints(p, 2)}"] for p in polytope.lattice_points(spec))
+    return 0, _document(head, "points", points, lambda count: {"count": count})
 
 
-def _points(spec: polytope.PolytopeSpec) -> Generator[str, None, dict]:
-    """The `points` of the `polytope` document, one chunk per `_BATCH`
-    points, each point's text with its separator in front and the first
-    chunk without its comma; it returns the member after them, the `count`."""
-    count = 0
-    texts = (f",\n    {_ints(p, 2)}" for p in polytope.lattice_points(spec))
-    while batch := list(islice(texts, _BATCH)):
-        text = "".join(batch)
-        yield text if count else text[1:]
-        count += len(batch)
-    return {"count": count}
-
-
-def _collections(n: int) -> Iterator[str]:
-    """The `collections` of the `fixed-points` document, one chunk per
-    `_BATCH` collections.
+def _collections(n: int) -> Iterator[list[str]]:
+    """The `collections` of the `fixed-points` document, one element each.
 
     The tower walk builds each component's label once per tower branch and
     carries it down: the component's text with its separator in front, the
     first key's also opening its collection and the last key's closing it.
-    A collection is then its labels appended to the batch, and a chunk is the
-    join of a batch, the first without its leading comma.
+    A collection is then the list of its labels.
     """
     keys = sorted(index_pairs(TypeC(n)))
 
@@ -245,18 +245,7 @@ def _collections(n: int) -> Iterator[str]:
         closing = "\n    }" if key == keys[-1] else ""
         return f',\n{opening}      "{key[0]},{key[1]}": {_ints(sorted(s), 3)}{closing}'
 
-    count = 2 ** (n * n)
-    written = 0
-    batch: list[str] = []
-    for parts in fixedpoints.iter_fixed_points(n, component):
-        batch += parts
-        written += 1
-        if written % _BATCH == 0 or written == count:
-            text = "".join(batch)
-            yield text[1:] if written <= _BATCH else text
-            batch = []
-    if written != count:
-        raise RuntimeError(f"the tower walk gave {written} collections, not {count}")
+    return fixedpoints.iter_fixed_points(n, component)
 
 
 def cmd_fixed_points(args) -> Output:
@@ -268,9 +257,14 @@ def cmd_fixed_points(args) -> Output:
     head = {"command": "fixed-points", "n": args.n, "count": count}
     if args.count:
         # Every step of the tower has two branches (`_pool` raises otherwise),
-        # so the count is 2^(n^2) without a walk; `_collections` checks it.
+        # so the count is 2^(n^2) without a walk; the dump's tail checks it.
         return 0, [_text(count)]
-    return 0, _document(head, "collections", _collections(args.n))
+
+    def tail(written: int) -> None:
+        if written != count:
+            raise RuntimeError(f"the tower walk gave {written} collections, not {count}")
+
+    return 0, _document(head, "collections", _collections(args.n), tail)
 
 
 def cmd_abl_verify(args) -> Output:
@@ -299,19 +293,16 @@ def cmd_discrepancy(args) -> Output:
         writer.writerows(rows)
         return code, [buf.getvalue()]
     head = {"command": "discrepancy", "n": args.n, "d": list(d)}
-    return code, _document(head, "rows", _rows(rows, identity_ok))
+    identity = {"canonical_identity": identity_ok}
+    return code, _document(head, "rows", _rows(rows), lambda count: identity)
 
 
-def _rows(rows: list[dict], identity_ok: bool) -> Generator[str, None, dict]:
-    """The `rows` of the `discrepancy` document as one chunk, each row written
-    as `_text` would write it; it returns the member after them.  `rows` is
-    never empty: (d_1, d_1) lies in P_d."""
-    yield ",".join(
-        f'\n    {{\n      "i": {r["i"]},\n      "j": {r["j"]},\n      "b": {r["b"]},\n'
-        f'      "exceptional": {"true" if r["exceptional"] else "false"}\n    }}'
-        for r in rows
-    )
-    return {"canonical_identity": identity_ok}
+def _rows(rows: list[dict]) -> Iterator[list[str]]:
+    """The `rows` of the `discrepancy` document, each row written as `_text`
+    would write it.  `rows` is never empty: (d_1, d_1) lies in P_d."""
+    for r in rows:
+        yield [f',\n    {{\n      "i": {r["i"]},\n      "j": {r["j"]},\n      "b": {r["b"]},\n'
+               f'      "exceptional": {"true" if r["exceptional"] else "false"}\n    }}']
 
 
 def _json_list(value, what: str) -> list:

@@ -195,12 +195,16 @@ class Subspace:
 
     def contains_vector(self, v) -> bool:
         """Whether v lies in the subspace: `_reduce` against `rows` leaves 0."""
+        if len(v) != self.ambient:
+            raise ValueError("vector length does not match ambient dimension")
         return not any(_reduce(self.rows, self.pivots, v))
 
     def contains(self, other: "Subspace") -> bool:
         return all(self.contains_vector(row) for row in other.rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
+        if other.ambient != self.ambient:
+            raise ValueError("vector length does not match ambient dimension")
         return Subspace(rref(other.rows, self.rows), self.ambient)
 
     def annihilator(self) -> list[Vector]:

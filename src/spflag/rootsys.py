@@ -2,8 +2,9 @@
 
 Weights live in the epsilon basis throughout: for sp_2n the simple roots are
 eps_i - eps_{i+1} (i < n) and 2 eps_n, and the fundamental weight omega_d is
-eps_1 + ... + eps_d.  Type A is handled at the gl level (length-m epsilon
-vectors, sum unconstrained).
+eps_1 + ... + eps_d; P_d, the roots pairing positively with some omega_{d_l},
+is read from the indices alone (`radical_pairs`).  Type A is handled at the gl
+level (length-m epsilon vectors, sum unconstrained).
 """
 
 from __future__ import annotations
@@ -98,14 +99,6 @@ def root_weight(i: int, j: int, system: RootSystem) -> tuple[int, ...]:
     return tuple(w)
 
 
-def fundamental_weight(d: int, system: RootSystem) -> tuple[int, ...]:
-    """omega_d = eps_1 + ... + eps_d."""
-    if not 1 <= d <= rank(system):
-        raise ValueError(f"fundamental weight index {d} out of range")
-    nv = num_vars(system)
-    return tuple(1 if k < d else 0 for k in range(nv))
-
-
 def weight_of(m_vec: tuple[int, ...], system: RootSystem) -> tuple[int, ...]:
     """Epsilon coordinates of lambda = sum_i m_i omega_i."""
     if len(m_vec) != rank(system):
@@ -125,18 +118,16 @@ def pairing(a: tuple[int, ...], b: tuple[int, ...]) -> int:
 
 @lru_cache(maxsize=None)
 def radical_pairs(d: tuple[int, ...], n: int) -> frozenset[tuple[int, int]]:
-    """Index pairs of P_d: roots pairing positively with some omega_{d_l}.
+    """Index pairs of P_d: the roots alpha_{i,j} with some d_l in i..j.
 
-    Membership is decided by the brute-force epsilon pairing rather than a
-    hand-derived index rule.
+    These are the roots that pair positively with some omega_{d_l}: for
+    j < n, alpha_{i,j} = eps_i - eps_{j+1} pairs to 1 with omega_d iff
+    i <= d <= j, and for j >= n, alpha_{i,j} has nonnegative entries and
+    pairs positively iff i <= d, where d <= n <= j.
     """
     check_d(d, n)
-    system = TypeC(n)
-    fund = [fundamental_weight(dl, system) for dl in d]
     return frozenset(
-        (i, j)
-        for i, j in index_pairs(system)
-        if any(pairing(root_weight(i, j, system), f) > 0 for f in fund)
+        (i, j) for i, j in index_pairs(TypeC(n)) if any(i <= dl <= j for dl in d)
     )
 
 

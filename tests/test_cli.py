@@ -212,7 +212,8 @@ def test_rows_writer_equals_the_encoder(ok):
         for d in all_d(n):
             rows = bundles.discrepancy_table(d, n)
             head = {"command": "discrepancy", "n": n, "d": list(d)}
-            text = "".join(cli._document(head, "rows", cli._rows(rows, ok)))
+            tail = {"canonical_identity": ok}
+            text = "".join(cli._document(head, "rows", cli._rows(rows), lambda count: tail))
             doc = {**head, "rows": rows, "canonical_identity": ok}
             assert text == json.dumps(doc, indent=2), (n, d, ok)
 
@@ -436,15 +437,31 @@ def test_fixed_points_stream_equals_the_encoded_document(n, tmp_path, capture):
 
 
 def test_fixed_points_n4_chunks_are_whole_batches_of_collections():
-    # One chunk per batch of collections; each chunk after the first opens a
-    # collection after the separator, and the first opens the array.
-    chunks = list(cli._collections(4))
-    assert len(chunks) == -(-(2**16) // cli._BATCH)
-    assert chunks[0].startswith("\n    {\n")
-    assert all(c.startswith(",\n    {\n") for c in chunks[1:])
+    # Between its head and its close, `_document` writes one chunk per batch
+    # of collections; each chunk after the first opens a collection after the
+    # separator, and the first opens the array.
     head = {"command": "fixed-points", "n": 4, "count": 2**16}
-    text = "".join(cli._document(head, "collections", chunks))
+    chunks = list(cli._document(head, "collections", cli._collections(4)))
+    body = chunks[1:-1]
+    assert len(body) == 2**16 // cli._BATCH == 256
+    assert body[0].startswith("\n    {\n")
+    assert all(c.startswith(",\n    {\n") for c in body[1:])
+    text = "".join(chunks)
     assert hashlib.sha256((text + "\n").encode()).hexdigest() == GOLDEN["fixed-points --n 4"][1]
+
+
+def test_a_tower_walk_that_loses_a_collection_raises(capsys, monkeypatch):
+    walk = fixedpoints.iter_fixed_points
+
+    def lossy(n, label):
+        collections = walk(n, label)
+        next(collections)
+        return collections
+
+    monkeypatch.setattr(fixedpoints, "iter_fixed_points", lossy)
+    with pytest.raises(RuntimeError, match="the tower walk gave 15 collections, not 16"):
+        run(["fixed-points", "--n", "2"])
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("count", [False, True], ids=["output", "count"])

@@ -237,9 +237,16 @@ def test_rref_extends_an_echelon_form_and_sum_reuses_it(matrix, data):
 
 
 def test_sum_of_spaces_in_different_ambients_is_refused():
-    for a, b in ((w(2, 1, 2), w(4, 1, 2)), (w(4, 1), w(2, 1))):
+    # The zero space has no row for `rref` to check a length against.
+    for a, b in ((w(2, 1, 2), w(4, 1, 2)), (w(4, 1), w(2, 1)), (Subspace.zero(2), w(4, 1))):
         with pytest.raises(ValueError):
             a.sum(b)
+
+
+def test_contains_vector_refuses_a_vector_of_another_length():
+    # `_reduce` zips a longer vector down to the ambient.
+    with pytest.raises(ValueError, match="ambient"):
+        Subspace.span([(1, 0)], 2).contains_vector((1, 0, 5, 0))
 
 
 def test_sum_intersection():

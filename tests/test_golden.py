@@ -9,9 +9,13 @@ a changed contract.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import spflag
 from spflag.cli import run
 
 from support import all_d
@@ -241,6 +245,20 @@ def test_stdout_digest(command, tmp_path, capsys):
     rc = run(argv)
     out = capsys.readouterr().out
     assert (rc, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[command]
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["fixed-points --n 3", "polytope --n 3 --lambda 1,0,1", "qchar --n 4 --lambda 0,1,0,1"],
+)
+def test_stdout_digest_through_a_pipe(command):
+    # The streamed chunks and `main`'s flush, as a process writes them.
+    src = os.path.dirname(os.path.dirname(spflag.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spflag.cli", *command.split()],
+        stdout=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == GOLDEN[command]
 
 
 @pytest.mark.parametrize("name", ["flag4_24_bad", "flag_23_incompatible"])

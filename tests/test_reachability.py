@@ -241,3 +241,23 @@ def test_no_module_uses_a_private_name_of_another():
             and _private(node.attr)
         ]
     assert found == []
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    """Every name a module of the package imports is read in it; `__init__`
+    is skipped, as its names are re-exports, and so is `annotations`, which
+    `from __future__` imports to change how annotations are compiled."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.stem}: {name}" for name in sorted(imported - read - {"annotations"})]
+    assert found == []

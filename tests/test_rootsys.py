@@ -5,7 +5,6 @@ from spflag.rootsys import (
     TypeA,
     TypeC,
     boundary_pairs,
-    fundamental_weight,
     index_pairs,
     is_valid_pair,
     pairing,
@@ -15,7 +14,7 @@ from spflag.rootsys import (
     weight_of,
 )
 
-from support import _dense, root_vector_matrix
+from support import _dense, all_d, root_vector_matrix
 
 
 def pairs(system):
@@ -123,7 +122,6 @@ def test_weights_of_lambda():
     assert weight_of((1, 0), TypeC(2)) == (1, 0)
     assert weight_of((0, 1), TypeC(2)) == (1, 1)
     assert weight_of((2, 3), TypeC(2)) == (5, 3)
-    assert fundamental_weight(2, TypeC(3)) == (1, 1, 0)
 
 
 def test_radical_full():
@@ -137,15 +135,18 @@ def test_radical_examples_n2():
 
 
 def test_radical_matches_bruteforce_pairing():
-    n = 3
-    system = TypeC(n)
-    for d in [(1,), (2,), (3,), (1, 3), (2, 3), (1, 2, 3)]:
-        expect = set()
-        for i, j in index_pairs(system):
-            w = root_weight(i, j, system)
-            if any(pairing(w, fundamental_weight(dl, system)) > 0 for dl in d):
-                expect.add((i, j))
-        assert radical_pairs(d, n) == frozenset(expect)
+    # P_d by its definition, on every d at n <= 6: the roots that pair
+    # positively with some omega_{d_l} = eps_1 + ... + eps_{d_l}.
+    for n in range(1, 7):
+        system = TypeC(n)
+        for d in all_d(n):
+            omegas = [tuple(int(k < dl) for k in range(n)) for dl in d]
+            expect = {
+                (i, j)
+                for i, j in index_pairs(system)
+                if any(pairing(root_weight(i, j, system), omega) > 0 for omega in omegas)
+            }
+            assert radical_pairs(d, n) == frozenset(expect), d
 
 
 def _column_loop(d, n):
