@@ -1,12 +1,13 @@
 """Command-line surface: characters, fixed points, discrepancies, geometry.
 
-Each `cmd_*` returns its exit code and its output as text chunks; `run`
-alone checks the soft limit on n and writes the chunks, to stdout or to
-`--output`.  `_text` writes every JSON value, and `_document` frames every
-streamed array: the element writers `_terms`, `_collections` and `_rows`
-only yield each element's text.  Exit codes: 0 success / verified,
-1 verification failure, 2 usage error.  JSON and CSV schemas are documented
-in docs/formats.md.
+`COMMANDS` declares each subcommand once and `OPTIONS` each option, and
+`build_parser` builds the argparse front end from them.  Each `cmd_*`
+returns its exit code and its output as text chunks; `run` alone checks the
+soft limit on n and writes the chunks, to stdout or to `--output`.  `_text`
+writes every JSON value, and `_document` frames every streamed array: the
+element writers `_terms`, `_collections` and `_rows` only yield each
+element's text.  Exit codes: 0 success / verified, 1 verification failure,
+2 usage error.  JSON and CSV schemas are documented in docs/formats.md.
 """
 
 from __future__ import annotations
@@ -399,6 +400,50 @@ def cmd_lift(args) -> Output:
 # parser
 
 
+# Each option once, with its argparse keywords.
+OPTIONS = {
+    "--n": dict(type=_positive_int, required=True, help="rank n (sp_2n)"),
+    "--lambda": dict(dest="lam", required=True, help="m_1,...,m_n fundamental coefficients"),
+    "--d": dict(required=True, help="strictly increasing indices d_1,...,d_k"),
+    "--system": dict(
+        choices=["C", "A"], default="C",
+        help="root system: C (sp_2n, default) or A (sl_n; lambda has n-1 entries)",
+    ),
+    "--threads": dict(type=_positive_int, default=1, help="accepted; has no effect"),
+    "--input": dict(required=True),
+    "--force": dict(action="store_true", help="override soft size limits"),
+    "--output": dict(help="write output to a file instead of stdout"),
+    "--weight-basis": dict(choices=["eps", "omega"], default="eps"),
+    "--count": dict(action="store_true", help="print only the count"),
+    "--trials": dict(type=_positive_int, default=20),
+    "--seed": dict(type=_integer, default=None, help="defaults to $SPFLAG_SEED or 0"),
+    "--format": dict(choices=["json", "csv"], default="json"),
+}
+
+# Each subcommand once: its function, its help, what its soft limit on n
+# guards (None: no limit) and its options in --help order.
+COMMANDS = {
+    "dim": (cmd_dim, "dimension by lattice-point count", "lattice enumeration",
+            "--n --lambda --system --force --output"),
+    "qchar": (cmd_qchar, "PBW-graded character as JSON", "lattice enumeration",
+              "--n --lambda --system --force --output --weight-basis"),
+    "weyl": (cmd_weyl, "Weyl character oracle as JSON", "the Weyl character",
+             "--n --lambda --force --output --weight-basis"),
+    "polytope": (cmd_polytope, "dump inequalities and lattice points", "lattice enumeration",
+                 "--n --lambda --system --force --output"),
+    "fixed-points": (cmd_fixed_points, "enumerate admissible collections",
+                     "fixed-point enumeration", "--n --threads --force --output --count"),
+    "abl-verify": (cmd_abl_verify, "verify the localization character identity",
+                   "localization verification",
+                   "--n --lambda --threads --force --output --trials --seed"),
+    "discrepancy": (cmd_discrepancy, "discrepancy coefficients table", "discrepancy tables",
+                    "--n --d --force --output --format"),
+    "check-geometry": (cmd_check_geometry, "flag membership test from a JSON file", None,
+                       "--input --output"),
+    "lift": (cmd_lift, "lift a flag point to the resolution", None, "--input --output"),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -406,72 +451,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact characters and geometry checks for degenerate symplectic flags",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, limit, lam=False, d=False, system=False, threads=False):
-        p.add_argument("--n", type=_positive_int, required=True, help="rank n (sp_2n)")
-        if lam:
-            p.add_argument(
-                "--lambda", dest="lam", required=True, help="m_1,...,m_n fundamental coefficients"
-            )
-        if d:
-            p.add_argument("--d", required=True, help="strictly increasing indices d_1,...,d_k")
-        if system:
-            p.add_argument(
-                "--system", choices=["C", "A"], default="C",
-                help="root system: C (sp_2n, default) or A (sl_n; lambda has n-1 entries)",
-            )
-        if threads:
-            p.add_argument(
-                "--threads", type=_positive_int, default=1, help="accepted; has no effect"
-            )
-        p.add_argument("--force", action="store_true", help="override soft size limits")
-        p.add_argument("--output", help="write output to a file instead of stdout")
-        p.set_defaults(limit=limit)
-
-    p = sub.add_parser("dim", help="dimension by lattice-point count")
-    common(p, "lattice enumeration", lam=True, system=True)
-    p.set_defaults(func=cmd_dim)
-
-    p = sub.add_parser("qchar", help="PBW-graded character as JSON")
-    common(p, "lattice enumeration", lam=True, system=True)
-    p.add_argument("--weight-basis", choices=["eps", "omega"], default="eps")
-    p.set_defaults(func=cmd_qchar)
-
-    p = sub.add_parser("weyl", help="Weyl character oracle as JSON")
-    common(p, "the Weyl character", lam=True)
-    p.add_argument("--weight-basis", choices=["eps", "omega"], default="eps")
-    p.set_defaults(func=cmd_weyl)
-
-    p = sub.add_parser("polytope", help="dump inequalities and lattice points")
-    common(p, "lattice enumeration", lam=True, system=True)
-    p.set_defaults(func=cmd_polytope)
-
-    p = sub.add_parser("fixed-points", help="enumerate admissible collections")
-    common(p, "fixed-point enumeration", threads=True)
-    p.add_argument("--count", action="store_true", help="print only the count")
-    p.set_defaults(func=cmd_fixed_points)
-
-    p = sub.add_parser("abl-verify", help="verify the localization character identity")
-    common(p, "localization verification", lam=True, threads=True)
-    p.add_argument("--trials", type=_positive_int, default=20)
-    p.add_argument("--seed", type=_integer, default=None, help="defaults to $SPFLAG_SEED or 0")
-    p.set_defaults(func=cmd_abl_verify)
-
-    p = sub.add_parser("discrepancy", help="discrepancy coefficients table")
-    common(p, "discrepancy tables", d=True)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=cmd_discrepancy)
-
-    p = sub.add_parser("check-geometry", help="flag membership test from a JSON file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_check_geometry, limit=None)
-
-    p = sub.add_parser("lift", help="lift a flag point to the resolution")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_lift, limit=None)
-
+    for name, (func, summary, limit, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for option in options.split():
+            p.add_argument(option, **OPTIONS[option])
+        p.set_defaults(func=func, limit=limit)
     return top
 
 
@@ -482,7 +466,8 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.limit and args.n > SOFT_LIMIT and not args.force:
+        # The count is 2^(n^2), written without a walk at any n.
+        if args.limit and args.n > SOFT_LIMIT and not (args.force or getattr(args, "count", False)):
             raise UsageError(
                 f"n = {args.n} exceeds the soft limit {SOFT_LIMIT} for {args.limit}; "
                 f"rerun with --force to proceed anyway"

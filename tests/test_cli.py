@@ -63,6 +63,14 @@ def test_fixed_points_count_equals_the_walk_and_the_document(n, capture):
         assert rc == 0 and len(json.loads(out)["collections"]) == walked
 
 
+def test_fixed_points_count_has_no_soft_limit(capture):
+    # The count is 2^(n^2), not walked, so only its digit limit refuses it.
+    rc, out = capture(["fixed-points", "--n", "5", "--count"])
+    assert rc == 0 and out == "33554432\n"
+    rc, out = capture(["fixed-points", "--n", "119", "--count"])
+    assert rc == 0 and int(out) == 2**(119 * 119) and len(out.strip()) == 4263
+
+
 def test_fixed_points_dump_schema(capture):
     rc, out = capture(["fixed-points", "--n", "1"])
     doc = json.loads(out)
@@ -243,6 +251,27 @@ def test_whole_outputs_in_the_formats_page_are_the_commands_stdout(
         assert rc == 0 and out == block, argv
 
 
+README_CLI = re.compile(r"\n## CLI\n.*?```sh\n(.*?)```", re.S)
+
+
+def test_readme_cli_examples_run(capture, monkeypatch, tmp_path):
+    # `check-geometry` and `lift` read the flag-point file of the formats page.
+    root = Path(__file__).parents[1]
+    page = (root / "docs" / "formats.md").read_text(encoding="utf-8")
+    (tmp_path / "flag.json").write_text(FLAG_FILE.search(page).group(1))
+    monkeypatch.chdir(tmp_path)
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    lines = README_CLI.search(readme).group(1).splitlines()
+    assert len(lines) >= 9 and all(line.startswith("spflag ") for line in lines)
+    for line in lines:
+        argv, _, comment = line.partition("#")
+        rc, out = capture(argv.split()[1:])
+        assert rc == 0, line
+        # A comment that is an integer is the line's whole stdout.
+        if comment.strip().isdigit():
+            assert out == comment.strip() + "\n", line
+
+
 def test_usage_errors(capsys, monkeypatch, tmp_path):
     def fails(argv):
         rc = run(argv)
@@ -253,9 +282,6 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
     fails(["dim", "--n", "2", "--lambda", "1,0,0"])
     fails(["dim", "--n", "2", "--lambda", "1,x"])
     fails(["discrepancy", "--n", "2", "--d", "2,1"])
-    # Refused by the soft limit, yet instant if forced (the count is not
-    # walked), so a lost limit fails here rather than hang.
-    fails(["fixed-points", "--n", "5", "--count"])
     fails(["dim", "--n", "0", "--lambda", ""])
     fails(["fixed-points", "--n", "0"])
     fails(["dim", "--system", "A", "--n", "1", "--lambda", ""])
@@ -330,6 +356,7 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
     # Answers past the 4300 digits Python writes as a string: the dimension
     # 10^4300 has 4301, and the count 2^14400 at n = 120 has 4335.
     fails(["dim", "--n", "1", "--lambda", "9" * 4300])
+    fails(["fixed-points", "--n", "120", "--count"])
     fails(["fixed-points", "--n", "120", "--force", "--count"])
     fails(["fixed-points", "--n", "120", "--force"])
     # At the limit: 10^4299 has 4300 digits.
@@ -499,7 +526,7 @@ LIMITED = {
     "weyl": (OMEGA_1, True),
     "polytope": (OMEGA_1, True),
     "discrepancy": (["--d", "1"], True),
-    "fixed-points": (["--count"], False),
+    "fixed-points": ([], False),
     "abl-verify": (OMEGA_1, False),
 }
 
@@ -548,6 +575,17 @@ def test_option_surface(tmp_path, capsys):
     for command in ("check-geometry", "lift"):
         assert run([command, "--n", "1", "--input", str(path)]) == 2
         assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_every_subcommand_has_help(command, capsys):
+    # Only the options are checked: argparse words its help differently
+    # across Python versions.
+    assert run([command, "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    for option in OPTIONS[command]:
+        assert re.search(rf"^\s+{option}\b", out, re.M), option
 
 
 def test_unknown_command_exits_2():
