@@ -89,7 +89,7 @@ def _emit(chunks: Iterable[str], output: str | None) -> None:
             last = chunk or last
         return last
 
-    if output:
+    if output is not None:
         try:
             with open(output, "w", encoding="utf-8") as fh:
                 write(fh)

@@ -11,6 +11,8 @@ it and `abl_character` pushes the localization sum down it, read once per
 (n, width) into `_packed_tower` with each row's shifts packed.  `ab_pair`,
 `denominator_deltas`, `abl_numerator_weight` and `is_admissible` check one
 collection on its own, the reference the tests compare the tower against.
+Every weight here is a sum of torus weights of basis vectors w_l,
+`rootsys.basis_weight`, the same weights whose differences are the roots.
 
 The push-down packs each exponent e into one int, P(e) = sum_k e_k 2^(w k)
 with signed digits (`_pack`), at the least width w that keeps every vector it
@@ -32,7 +34,7 @@ from typing import Any
 
 from .charring import Exponent, Terms
 from .polytope import graded_character
-from .rootsys import TypeC, index_pairs
+from .rootsys import TypeC, basis_weight, index_pairs
 
 Pair = tuple[int, int]
 Collection = dict[Pair, frozenset[int]]
@@ -127,16 +129,6 @@ def ab_pair(coll: Collection, i: int, j: int, n: int) -> tuple[int, int]:
     if len(inside) != 1 or len(outside) != 1 or here != prev | {inside[0]}:
         raise ValueError(f"collection is inconsistent at ({i},{j})")
     return inside[0], outside[0]
-
-
-def basis_weight(l: int, n: int) -> tuple[int, ...]:
-    """Torus weight of w_l: eps_l for l <= n, -eps_{2n+1-l} beyond."""
-    w = [0] * n
-    if l <= n:
-        w[l - 1] = 1
-    else:
-        w[2 * n - l] = -1
-    return tuple(w)
 
 
 def wtq_component(s: frozenset[int], i: int, n: int) -> Exponent:

@@ -1,10 +1,11 @@
 """Dyck-path inequalities, lattice-point enumeration and graded characters.
 
 A path starts at a simple root and moves alpha_{p,q} -> alpha_{p,q+1} or
-alpha_{p+1,q}.  In type A it must end on the diagonal; in type C it may end
-on the diagonal (j <= n-1) or on the anti-diagonal i+j = 2n, where alpha_{n,n}
-counts as anti-diagonal so that the single-root path (alpha_{n,n}) bounds
-s_{n,n} by m_n.
+alpha_{p+1,q} within `index_pairs`.  It may end on the diagonal (j <= n-1) or
+on the anti-diagonal i+j = 2n, where alpha_{n,n} counts as anti-diagonal so
+that the single-root path (alpha_{n,n}) bounds s_{n,n} by m_n.  One rule
+serves both systems: type A(n) has no pair on the anti-diagonal, so there
+every path ends on the diagonal.
 
 The lattice points are walked one line at a time over the free roots only.
 A root that lies in an inequality of bound 0 is 0 at every point, so it is
@@ -31,36 +32,22 @@ from dataclasses import dataclass
 from operator import add, sub
 
 from .charring import Terms
-from .rootsys import (
-    RootSystem,
-    TypeA,
-    TypeC,
-    index_pairs,
-    is_valid_pair,
-    rank,
-    root_weight,
-    weight_of,
-)
+from .rootsys import RootSystem, index_pairs, rank, root_weight, weight_of
 
 LatticePoint = tuple[int, ...]
-
-
-def _is_end(i: int, j: int, system: RootSystem) -> bool:
-    if isinstance(system, TypeA):
-        return i == j
-    return (i == j and j <= system.n - 1) or i + j == 2 * system.n
 
 
 def _dyck_pairs(system: RootSystem) -> list[tuple[tuple[int, int], ...]]:
     """All Dyck paths as tuples of index pairs, in depth-first order from each start."""
     out: list[tuple[tuple[int, int], ...]] = []
+    n, roots = system.n, set(index_pairs(system))
 
     def extend(path: list[tuple[int, int]]) -> None:
         p, q = path[-1]
-        if _is_end(p, q, system):
+        if (p == q and q < n) or p + q == 2 * n:
             out.append(tuple(path))
         for step in ((p, q + 1), (p + 1, q)):
-            if is_valid_pair(*step, system):
+            if step in roots:
                 path.append(step)
                 extend(path)
                 path.pop()
@@ -97,7 +84,7 @@ def polytope_spec(m_vec: tuple[int, ...], system: RootSystem) -> PolytopeSpec:
     inequalities = []
     for path in _dyck_pairs(system):
         (start, _), (p, q) = path[0], path[-1]
-        end = system.n if isinstance(system, TypeC) and p + q == 2 * system.n else q
+        end = system.n if p + q == 2 * system.n else q
         inequalities.append((frozenset(map(pos.__getitem__, path)), sum(m_vec[start - 1 : end])))
     return PolytopeSpec(system, m_vec, roots, tuple(inequalities))
 

@@ -1,27 +1,35 @@
-"""Positive-root combinatorics for sl_m and sp_2n in epsilon coordinates.
+"""Positive-root combinatorics for sp_2n and its Levi gl_n, in epsilon coordinates.
 
 Weights live in the epsilon basis throughout: for sp_2n the simple roots are
 eps_i - eps_{i+1} (i < n) and 2 eps_n, and the fundamental weight omega_d is
 eps_1 + ... + eps_d; P_d, the roots pairing positively with some omega_{d_l},
-is read from the indices alone (`radical_pairs`).  Type A is handled at the gl
-level (length-m epsilon vectors, sum unconstrained).
+is read from the indices alone (`radical_pairs`).
+
+One rule states the positive roots of both systems.  Number the basis of
+C^2n as w_1..w_2n, with torus weights eps_1..eps_n, -eps_n..-eps_1
+(`basis_weight`).  A root is an index pair (i, j) with i <= j, i + j <= 2n
+and j at most the last column, and alpha_{i,j} = wt(w_i) - wt(w_{j+1}).  The
+last column is 2n - 1 for sp_2n (type C(n)) and n - 1 for sl_n (type A(n)),
+which is handled at the gl_n level (length-n epsilon vectors, sum
+unconstrained): type A(n) is the part j < n of type C(n).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import sub
 
 
 @dataclass(frozen=True)
 class TypeA:
-    """Root system of sl_m, m >= 2."""
+    """Root system of sl_n, n >= 2: the gl_n Levi of sp_2n."""
 
-    m: int
+    n: int
 
     def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValueError(f"TypeA needs m >= 2, got {self.m}")
+        if self.n < 2:
+            raise ValueError(f"TypeA needs n >= 2, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -38,25 +46,21 @@ class TypeC:
 RootSystem = TypeA | TypeC
 
 
+def _last_column(system: RootSystem) -> int:
+    """The largest j of a pair (i, j): n - 1 in type A(n), 2n - 1 in type C(n)."""
+    return system.n - 1 if isinstance(system, TypeA) else 2 * system.n - 1
+
+
 def rank(system: RootSystem) -> int:
-    return system.m - 1 if isinstance(system, TypeA) else system.n
-
-
-def num_vars(system: RootSystem) -> int:
-    """Length of epsilon-coordinate weight vectors for the system."""
-    return system.m if isinstance(system, TypeA) else system.n
-
-
-def is_valid_pair(i: int, j: int, system: RootSystem) -> bool:
-    if isinstance(system, TypeA):
-        return 1 <= i <= j <= system.m - 1
-    return 1 <= i <= j and i + j <= 2 * system.n
+    """The number of simple roots, the pairs (i, i)."""
+    return min(system.n, _last_column(system))
 
 
 def index_pairs(system: RootSystem) -> tuple[tuple[int, int], ...]:
-    """The positive roots alpha_{i,j} as index pairs (i, j), each once: n^2 in
-    type C(n), m(m-1)/2 in type A(m); in type C the range is i <= j,
-    i + j <= 2n.  Columns j run descending and i ascending within a column.
+    """The positive roots alpha_{i,j} as index pairs (i, j), each once: the
+    pairs with i <= j, i + j <= 2n and j at most the last column, n^2 in type
+    C(n) and n(n-1)/2 in type A(n).  Columns j run descending and i ascending
+    within a column.
 
     This order is a topological order in which (i-1,j) and (i,j+1) always
     precede (i,j): the one tower order.  Lattice points are ordered by it, and
@@ -65,46 +69,34 @@ def index_pairs(system: RootSystem) -> tuple[tuple[int, int], ...]:
     restricted to P_d, and `polytope.dimension` and `graded_character` walk
     the lattice points in it reversed.
     """
+    two_n = 2 * system.n
     pairs = []
-    if isinstance(system, TypeA):
-        jmax = system.m - 1
-        for j in range(jmax, 0, -1):
-            for i in range(1, j + 1):
-                pairs.append((i, j))
-    else:
-        two_n = 2 * system.n
-        for j in range(two_n - 1, 0, -1):
-            for i in range(1, min(j, two_n - j) + 1):
-                pairs.append((i, j))
+    for j in range(_last_column(system), 0, -1):
+        for i in range(1, min(j, two_n - j) + 1):
+            pairs.append((i, j))
     return tuple(pairs)
 
 
-def root_weight(i: int, j: int, system: RootSystem) -> tuple[int, ...]:
-    """Epsilon coordinates of the positive root alpha_{i,j}."""
-    if isinstance(system, TypeA):
-        w = [0] * system.m
-        w[i - 1] += 1
-        w[j] -= 1
-        return tuple(w)
-    n = system.n
+def basis_weight(l: int, n: int) -> tuple[int, ...]:
+    """Torus weight of w_l: eps_l for l <= n, -eps_{2n+1-l} beyond."""
     w = [0] * n
-    if j < n:
-        w[i - 1] += 1
-        w[j] -= 1
-    elif j == 2 * n - i:
-        w[i - 1] = 2
+    if l <= n:
+        w[l - 1] = 1
     else:
-        w[i - 1] += 1
-        w[2 * n - j - 1] += 1
+        w[2 * n - l] = -1
     return tuple(w)
+
+
+def root_weight(i: int, j: int, system: RootSystem) -> tuple[int, ...]:
+    """Epsilon coordinates of the positive root alpha_{i,j} = wt(w_i) - wt(w_{j+1})."""
+    return tuple(map(sub, basis_weight(i, system.n), basis_weight(j + 1, system.n)))
 
 
 def weight_of(m_vec: tuple[int, ...], system: RootSystem) -> tuple[int, ...]:
     """Epsilon coordinates of lambda = sum_i m_i omega_i."""
     if len(m_vec) != rank(system):
         raise ValueError(f"expected {rank(system)} coefficients, got {len(m_vec)}")
-    nv = num_vars(system)
-    out = [0] * nv
+    out = [0] * system.n
     for d, m in enumerate(m_vec, start=1):
         for k in range(d):
             out[k] += m

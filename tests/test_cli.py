@@ -290,6 +290,7 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
     fails(["abl-verify", "--n", "1", "--lambda", "1", "--threads", "0"])
     fails(["fixed-points", "--n", "1", "--threads", "-3"])
     fails(["dim", "--n", "1", "--lambda", "1", "--output", str(tmp_path / "no" / "such")])
+    fails(["dim", "--n", "2", "--lambda", "1,0", "--output", ""])
 
     # Every argv integer, and $SPFLAG_SEED, is [+-]?[0-9]+: int() alone would
     # read "1_0" as 10, accept " 1" and read full-width digits.

@@ -243,6 +243,29 @@ def test_no_module_uses_a_private_name_of_another():
     assert found == []
 
 
+def test_only_rootsys_dispatches_on_the_root_system():
+    """No module but `rootsys` calls `isinstance` with a type that names
+    `TypeA`, `TypeC` or `RootSystem`: the rest of the package reads the
+    root system through `rootsys`'s functions."""
+    systems = {"TypeA", "TypeC", "RootSystem"}
+    found = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "rootsys.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+        and systems & {
+            name.id if isinstance(name, ast.Name) else name.attr
+            for name in ast.walk(node.args[1])
+            if isinstance(name, (ast.Name, ast.Attribute))
+        }
+    ]
+    assert found == []
+
+
 def test_no_module_imports_a_name_it_does_not_use():
     """Every name a module of the package imports is read in it; `__init__`
     is skipped, as its names are re-exports, and so is `annotations`, which

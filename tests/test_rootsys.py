@@ -1,12 +1,13 @@
 import pytest
 
 from spflag.geometry import symplectic_form
+from spflag.polytope import _dyck_pairs
 from spflag.rootsys import (
     TypeA,
     TypeC,
     boundary_pairs,
+    basis_weight,
     index_pairs,
-    is_valid_pair,
     pairing,
     radical_pairs,
     rank,
@@ -18,10 +19,13 @@ from support import _dense, all_d, root_vector_matrix
 
 
 def pairs(system):
-    """The index pairs, checked to be exactly those `is_valid_pair` accepts."""
+    """The index pairs, checked to be exactly the (i, j) with 1 <= i <= j and
+    i + j <= 2n, where j <= n - 1 in type A(n) and j <= 2n - 1 in type C(n)."""
+    n = system.n
+    last = n - 1 if isinstance(system, TypeA) else 2 * n - 1
     found = set(index_pairs(system))
-    box = range(-1, 2 * rank(system) + 3)
-    assert found == {(i, j) for i in box for j in box if is_valid_pair(i, j, system)}
+    box = range(-1, 2 * n + 3)
+    assert found == {(i, j) for i in box for j in box if 1 <= i <= j <= last and i + j <= 2 * n}
     return found
 
 
@@ -31,12 +35,12 @@ def test_positive_roots_c1():
 
 def test_positive_roots_c2():
     assert pairs(TypeC(2)) == {(1, 1), (2, 2), (1, 2), (1, 3)}
-    assert not is_valid_pair(2, 3, TypeC(2))
+    assert (2, 3) not in index_pairs(TypeC(2))
 
 
 def test_positive_roots_a3():
     assert pairs(TypeA(3)) == {(1, 1), (2, 2), (1, 2)}
-    assert not is_valid_pair(1, 3, TypeA(3))
+    assert (1, 3) not in index_pairs(TypeA(3))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -44,9 +48,9 @@ def test_type_c_count(n):
     assert len(pairs(TypeC(n))) == len(index_pairs(TypeC(n))) == n * n
 
 
-@pytest.mark.parametrize("m", range(2, 7))
-def test_type_a_count(m):
-    assert len(pairs(TypeA(m))) == len(index_pairs(TypeA(m))) == m * (m - 1) // 2
+@pytest.mark.parametrize("n", range(2, 7))
+def test_type_a_count(n):
+    assert len(pairs(TypeA(n))) == len(index_pairs(TypeA(n))) == n * (n - 1) // 2
 
 
 def test_root_order_is_topological():
@@ -75,6 +79,30 @@ def test_root_weight_sums_simple_roots():
     # alpha_{1,2} = alpha_1 + alpha_2
     expect = tuple(a + b for a, b in zip(simple[0], simple[1]))
     assert root_weight(1, 2, c) == expect
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_root_weight_is_the_weight_of_its_matrix(n):
+    # f_{i,j} sends w_{c+1} to a multiple of w_{r+1} at each nonzero entry
+    # (r, c), so it lowers the torus weight by alpha_{i,j}.
+    for i, j in index_pairs(TypeC(n)):
+        alpha = root_weight(i, j, TypeC(n))
+        entries = [
+            (r, c) for r, row in enumerate(root_vector_matrix(i, j, n)) for c, x in enumerate(row) if x
+        ]
+        assert entries
+        for r, c in entries:
+            lowered = tuple(x - y for x, y in zip(basis_weight(c + 1, n), basis_weight(r + 1, n)))
+            assert lowered == alpha, (i, j, r, c)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_type_a_is_the_part_j_below_n_of_type_c(n):
+    a, c = TypeA(n), TypeC(n)
+    assert index_pairs(a) == tuple((i, j) for i, j in index_pairs(c) if j < n)
+    assert all(root_weight(i, j, a) == root_weight(i, j, c) for i, j in index_pairs(a))
+    assert _dyck_pairs(a) == [path for path in _dyck_pairs(c) if path[-1][1] < n]
+    assert rank(a) == n - 1
 
 
 def test_root_vector_matrix_examples():
@@ -114,8 +142,8 @@ def test_phi_embed():
     # index pair is a type-A(2n) root.
     c2 = index_pairs(TypeC(2))
     assert len(c2) == 4
-    assert all(is_valid_pair(i, j, TypeA(4)) for i, j in c2)
     assert set(c2) <= set(index_pairs(TypeA(4)))
+    assert (2, 3) not in c2 and (2, 3) in index_pairs(TypeA(4))
 
 
 def test_weights_of_lambda():
