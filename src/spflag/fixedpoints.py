@@ -15,12 +15,14 @@ Every weight here is a sum of torus weights of basis vectors w_l,
 `rootsys.basis_weight`, the same weights whose differences are the roots.
 
 The push-down packs each exponent e into one int, P(e) = sum_k e_k 2^(w k)
-with signed digits (`_pack`), at the least width w that keeps every vector it
-forms apart (`_packing_width`) given the bound `_exponent_bound`; a shift is
-then one int addition, and the exact division by 1 - e^{-alpha}
-(`_divide_by_binomial`) runs on packed exponents.  `_unpack` turns them back
-into tuples once, at the end, so the character is a `Terms` dict like the
-polytope's.  A sample point is its coordinate tuple, in exponent order.
+with signed digits (`_pack`), at a width w fixed by the bound
+`_exponent_bound` (`_packing_width`); a shift is then one int addition.  The
+exact division by 1 - e^{-alpha} (`_divide_by_binomial`) is one recurrence
+on packed exponents, q(e) = num(e) + q(e + alpha), whose carry down a line
+is capped at 2^(w-2) steps, so that a line packed onto another cannot pass
+for exact.  `_unpack` turns the exponents back into tuples once, at the end,
+so the character is a `Terms` dict like the polytope's.  A sample point is
+its coordinate tuple, in exponent order.
 """
 
 from __future__ import annotations
@@ -219,14 +221,17 @@ def _exponent_bound(m_vec: tuple[int, ...], n: int) -> int:
 def _packing_width(bound: int) -> int:
     """Field width w of the packed exponent P(e) = sum_k e_k 2^(w k).
 
-    `_divide_by_binomial` forms the exponents, each coordinate within
-    +-bound, and line bases, each coordinate within +-(2 bound + 1).  P is
-    injective on the vectors with coordinates within +-r exactly when
-    2^w > 2r, so w is the least width with 2^w > 2 (2 bound + 1); then
-    2^(w-1) > bound too, the bias at which every digit of an exponent reads
-    back.
+    `_divide_by_binomial` carries a quotient term at most S = 2^(w-2) steps
+    down its line, alpha's entries being within +-2, and with B = bound two
+    conditions make that exact.  An exact line within +-B has no gap longer
+    than 2B steps, so S >= 2B; and the walk compares the packings of vectors
+    within +-B with those of vectors within +-(B + 2S), which differ by at
+    most 2B + 2S in each coordinate, and P tells two vectors apart when no
+    coordinate differs by 2^w or more, so 2B + 2S < 2^w.  w = B.bit_length()
+    + 3 meets both, and 2^(w-1) > B, the bias at which every digit of an
+    exponent reads back.
     """
-    return (4 * bound + 2).bit_length()
+    return bound.bit_length() + 3
 
 
 def _pack(e: Exponent, width: int) -> int:
@@ -247,51 +252,34 @@ def _unpack(terms: dict[int, int], width: int, length: int) -> dict[Exponent, in
     return {tuple((x + offset >> s & mask) - bias for s in shifts): c for x, c in terms.items()}
 
 
-@cache
-def _line_reader(alpha: Exponent, width: int) -> tuple[int, int, int, int, int, int]:
-    """For `_divide_by_binomial`: P(alpha), alpha_t, and the offset, shift,
-    mask and bias that read digit t of a packed exponent.  Raises ValueError
-    unless alpha is nonzero with entries within +-2."""
-    top = max(map(abs, alpha))
-    if not 0 < top <= 2:
-        raise ValueError(f"cannot divide by 1 - e^-{alpha}")
-    t = next(k for k, a in enumerate(alpha) if abs(a) == top)
-    bias = 1 << (width - 1)
-    return _pack(alpha, width), alpha[t], _pack((bias,) * (t + 1), width), width * t, (1 << width) - 1, bias
-
-
 def _divide_by_binomial(num: dict[int, int], alpha: Exponent, width: int) -> dict[int, int]:
-    """Exact quotient num / (1 - e^{-alpha}) of integer Laurent polynomials
+    """Exact quotient q = num / (1 - e^{-alpha}) of integer Laurent polynomials
     whose exponents are packed by `_pack` at `width`.
 
     alpha is a nonzero exponent tuple with entries within +-2, of either
     sign, and width is `_packing_width(bound)` for a bound on every
-    coordinate of num's exponents.  The terms fall on lines e + k*alpha.
-    With t the first coordinate at which |alpha_t| is largest, the line
-    index is k = e_t // alpha_t, e_t being one digit of e read by shift and
-    mask with the bias added.  The line base e - k*alpha is one int
-    subtraction, and its coordinates stay within +-(2 bound + 1), where P is
-    injective.  On each line the quotient at k is the sum of the
-    coefficients at k and above, so it is one running sum from the top of
-    the line down; it lies between the line's ends, so within the bound.
-    The division is exact iff every line sums to zero; otherwise this raises
-    ArithmeticError.
+    coordinate of num's exponents.  Since q(e) = num(e) + q(e + alpha), the
+    terms of num are visited with P(e + alpha) before P(e), and each nonzero
+    q(e) is carried down its line, to e - alpha, e - 2 alpha, ..., until the
+    next term of num; by `_packing_width` the term it meets is on its own
+    line.  A carry that runs 2^(width-2) steps without meeting one leaves a
+    line that does not sum to zero, and this raises ArithmeticError.
     """
-    step, at, biased, shift, mask, bias = _line_reader(alpha, width)
-    lines: dict[int, dict[int, int]] = {}
-    for e, c in num.items():
-        k = ((e + biased >> shift & mask) - bias) // at
-        lines.setdefault(e - k * step, {})[k] = c
+    if not 0 < max(map(abs, alpha)) <= 2:
+        raise ValueError(f"cannot divide by 1 - e^-{alpha}")
+    step = _pack(alpha, width)
     quo: dict[int, int] = {}
-    for base, line in lines.items():
-        bottom = min(line)
-        total = 0
-        for k in range(max(line), bottom, -1):
-            total += line.get(k, 0)
-            if total:
-                quo[base + k * step] = total
-        if total + line[bottom]:
-            raise ArithmeticError(f"inexact Laurent division by 1 - e^-{alpha}")
+    for e in sorted(num, reverse=step > 0):
+        total = num[e] + quo.get(e + step, 0)
+        if total:
+            quo[e] = total
+            stop = e - (step << (width - 2))
+            e -= step
+            while e not in num:
+                if e == stop:
+                    raise ArithmeticError(f"inexact Laurent division by 1 - e^-{alpha}")
+                quo[e] = total
+                e -= step
     return quo
 
 

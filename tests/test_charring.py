@@ -147,26 +147,37 @@ def test_packing_at_the_bound(bound, length):
             if any(alpha):
                 top = {tuple(bound if a > 0 else -bound for a in alpha): 3}
                 assert _packed_division(_times_binomial(top, alpha), alpha) == top
-    # The division forms line bases within +-(2 bound + 1): at the width no two
-    # of them pack alike, and at one bit less two do.
-    if length == 2:
-        box = list(product(range(-2 * bound - 1, 2 * bound + 2), repeat=2))
-        assert len({_pack(e, width) for e in box}) == len(box)
-        assert len({_pack(e, width - 1) for e in box}) < len(box)
 
 
-def test_one_bit_narrower_merges_two_lines():
-    # Within +-1, e and f lie alone on their lines along alpha, so e - f is
-    # no multiple of 1 - e^{-alpha}.  Their line bases (1,1,0) and (1,-3,1)
-    # differ by (0,4,-1), whose packing at width 2 is 0.
-    e, f, alpha = (1, 1, 0), (-1, -1, 1), (2, -2, 0)
-    width = _packing_width(1)
-    num = {_pack(e, width): 1, _pack(f, width): -1}
+def test_a_line_packed_onto_another_is_not_exact():
+    # (0,0) and (0,1) lie alone on their lines along (1,0), yet (0,1) packs
+    # onto (0,0) + 2^w (1,0), far down the same line of packed ints: the
+    # capped carry refuses the pair, an uncapped one would find them exact.
     with pytest.raises(ArithmeticError):
-        _divide_by_binomial(num, alpha, width)
-    narrow = {_pack(e, width - 1): 1, _pack(f, width - 1): -1}
-    assert _unpack(narrow, width - 1, 3) == {e: 1, f: -1}
-    assert _divide_by_binomial(narrow, alpha, width - 1)
+        _packed_division({(0, 0): 1, (0, 1): -1}, (1, 0))
+
+
+@pytest.mark.parametrize("bound", [1, 2, 5, 42, 100])
+@pytest.mark.parametrize("alpha", [(1, 0), (0, -1), (-2, 0), (0, 2), (-1, 0), (0, 1), (2, 0), (0, -2)], ids=str)
+def test_the_longest_exact_carry_completes(bound, alpha):
+    # The whole line along alpha inside +-bound: its two ends are the only
+    # terms of the numerator, as many steps apart as the bound allows.
+    width = _packing_width(bound)
+    reach = bound // max(map(abs, alpha))
+    line = {tuple(k * a for a in alpha): 1 for k in range(1 - reach, reach + 1)}
+    num = {_pack(e, width): c for e, c in _times_binomial(line, alpha).items()}
+    assert _unpack(_divide_by_binomial(num, alpha, width), width, 2) == line
+
+
+def test_packing_width_meets_the_carry_invariant():
+    # With S = 2^(w-2) the carry cap: an exact gap of 2B steps fits under it,
+    # the vectors the walk compares pack apart, and every digit reads back.
+    for bound in range(10**4):
+        width = _packing_width(bound)
+        cap = 1 << (width - 2)
+        assert cap >= 2 * bound
+        assert 2 * bound + 2 * cap < 1 << width
+        assert 1 << (width - 1) > bound
 
 
 @pytest.mark.parametrize("alpha", [(0, 0), (3, 1), (0, -3)])

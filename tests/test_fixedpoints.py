@@ -264,11 +264,11 @@ def test_denominator_deltas_shape():
         assert len(deltas) == n * n
 
 
-def test_abl_evaluate_n1_spot():
+def test_abl_character_n1_spot():
     assert evaluate(abl_character((1,), 1), (Q(3), Q(2))) == Q(7, 2)
 
 
-def test_abl_evaluate_zero_weight_is_one():
+def test_abl_character_zero_weight_is_one():
     for n in (1, 2, 3, 4):
         assert abl_character((0,) * n, n) == {(0,) * (n + 1): 1}
 
@@ -316,7 +316,7 @@ def _brute_sum(m_vec, pt, n, colls, inverted=False):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_abl_evaluate_equals_brute_force_sum(n):
+def test_abl_character_equals_brute_force_sum(n):
     colls = list(fixed_points(n))
     weights = [(0,) * n, (1,) * n, tuple(range(n, 0, -1)), (0,) * (n - 1) + (2,)]
     polys = {m_vec: abl_character(m_vec, n) for m_vec in weights}
@@ -401,6 +401,14 @@ def test_push_down_stays_inside_the_exponent_bound(monkeypatch, m_vec):
     assert max(map(abs, seen)) <= bound
     monkeypatch.undo()
     assert poly == abl_character(m_vec, n)
+
+
+# The benchmark's weights, and the two whose push-down runs the longest
+# lines (ROADMAP item 3).
+@pytest.mark.parametrize("m_vec", [*CHARACTERS_WEIGHTS, (3, 3, 3), (2, 1, 1, 1)], ids=str)
+def test_push_down_equals_the_walk(m_vec):
+    n = len(m_vec)
+    assert abl_character(m_vec, n) == graded_character(m_vec, TypeC(n))
 
 
 def _patch_character(monkeypatch, change):

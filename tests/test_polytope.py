@@ -1,6 +1,6 @@
 import tracemalloc
 from collections import Counter
-from itertools import product
+from itertools import combinations_with_replacement, product
 from operator import add, sub
 
 import pytest
@@ -410,3 +410,18 @@ def test_every_root_is_covered_by_a_path():
         for p in _dyck_pairs(system):
             covered.update(p)
         assert covered == set(index_pairs(system))
+
+
+@pytest.mark.parametrize(
+    "system, top", [(TypeC(2), 2), (TypeA(3), 2), (TypeC(3), 1), (TypeA(4), 1)], ids=["C2", "A3", "C3", "A4"]
+)
+def test_minkowski_property(system, top):
+    # The polytope side of normality: the lattice points of P(lam + mu) are
+    # exactly the sums of a point of P(lam) and a point of P(mu), for every
+    # pair of nonzero weights with entries <= top.
+    weights = [lam for lam in product(range(top + 1), repeat=rank(system)) if any(lam)]
+    points = {lam: list(lattice_points(polytope_spec(lam, system))) for lam in weights}
+    for lam, mu in combinations_with_replacement(weights, 2):
+        sums = {tuple(map(add, p, q)) for p in points[lam] for q in points[mu]}
+        total = tuple(map(add, lam, mu))
+        assert sums == set(lattice_points(polytope_spec(total, system))), (lam, mu)

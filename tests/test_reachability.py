@@ -3,8 +3,8 @@
 One fresh process runs a fixed argv corpus through `cli.run` under
 `sys.settrace` and reports the lines of the package that had a line event.
 It must be a fresh process: `build_parser`, `_tower`, `_packed_tower`,
-`_line_reader`, `radical_pairs` and `boundary_pairs` are cached, so in this
-one an earlier test would already have run their bodies.
+`radical_pairs` and `boundary_pairs` are cached, so in this one an earlier
+test would already have run their bodies.
 """
 
 import ast
