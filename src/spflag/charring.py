@@ -14,7 +14,6 @@ is exact, and a non-integral or non-positive quotient raises ArithmeticError.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations, product
 
 from .rootsys import TypeC, index_pairs, pairing, root_weight, weight_of
@@ -33,15 +32,15 @@ def weyl_dimension(m_vec: tuple[int, ...], n: int) -> int:
     system = TypeC(n)
     lam = weight_of(tuple(m_vec), system)
     r = rho(n)
-    num = Fraction(1)
+    top = bot = 1
     for i, j in index_pairs(system):
         w = root_weight(i, j, system)
-        top = sum((l + rr) * x for l, rr, x in zip(lam, r, w))
-        bot = sum(rr * x for rr, x in zip(r, w))
-        num *= Fraction(top, bot)
-    if num.denominator != 1 or num <= 0:
-        raise ArithmeticError(f"Weyl dimension came out non-integral: {num}")
-    return int(num)
+        top *= sum((l + rr) * x for l, rr, x in zip(lam, r, w))
+        bot *= sum(rr * x for rr, x in zip(r, w))
+    dimension, remainder = divmod(top, bot)
+    if remainder or dimension <= 0:
+        raise ArithmeticError(f"Weyl dimension came out non-integral: {top}/{bot}")
+    return dimension
 
 
 def _dominant_weights_below(lam: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -7,15 +7,15 @@ soft limit on n and writes the chunks, to stdout or to `--output`.  `_text`
 writes every JSON value, and `_document` frames every streamed array: the
 element writers `_terms`, `_collections` and `_rows` only yield each
 element's text.  Exit codes: 0 success / verified, 1 verification failure,
-2 usage error.  JSON and CSV schemas are documented in docs/formats.md.
+2 usage error, which `_refused` makes of a library ValueError.  JSON and CSV
+schemas are documented in docs/formats.md.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import functools
-import io
 import json
 import os
 import re
@@ -24,7 +24,7 @@ from collections.abc import Callable, Iterable, Iterator
 from json.encoder import encode_basestring_ascii
 
 from . import bundles, charring, fixedpoints, geometry, polytope
-from .rootsys import RootSystem, TypeA, TypeC, check_d, index_pairs, rank
+from .rootsys import RootSystem, TypeA, TypeC, check_d, rank
 
 SOFT_LIMIT = 4
 # An integer in argv: an optionally signed run of ASCII digits.
@@ -53,12 +53,14 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
         raise UsageError(f"malformed {what} {text!r}: expected comma-separated integers")
 
 
-def _valid_d(d: tuple[int, ...], n: int) -> tuple[int, ...]:
+@contextlib.contextmanager
+def _refused(what: str) -> Iterator[None]:
+    """Refuse the input on a ValueError from the body: a usage error whose
+    message is `what` and then the ValueError's."""
     try:
-        check_d(d, n)
+        yield
     except ValueError as exc:
-        raise UsageError(str(exc))
-    return d
+        raise UsageError(what + str(exc))
 
 
 def _integer(text: str) -> int:
@@ -69,10 +71,7 @@ def _integer(text: str) -> int:
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = _int(text)
-    except ValueError:
-        value = 0
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
@@ -179,19 +178,12 @@ def _terms(poly: charring.Terms, basis: str) -> Iterator[list[str]]:
         yield [f',\n    {{\n      "q": {q},\n      "weight": {weight},\n      "mult": {c}\n    }}']
 
 
-def _writable(value: int, what: str) -> int:
-    """`value`, checked against the interpreter's limit on the digits of an
-    int it writes (4300 by default): past it, str() raises ValueError."""
-    try:
-        str(value)
-    except ValueError as exc:
-        raise UsageError(f"cannot write {what}: {exc}")
-    return value
-
-
 def cmd_dim(args) -> Output:
     system, lam = _weight(args)
-    return 0, [_text(_writable(polytope.dimension(lam, system), "the dimension"))]
+    dimension = polytope.dimension(lam, system)
+    # A dimension can outgrow the interpreter's 4300-digit limit on str().
+    with _refused("cannot write the dimension: "):
+        return 0, [_text(dimension)]
 
 
 def cmd_qchar(args) -> Output:
@@ -239,11 +231,12 @@ def _collections(n: int) -> Iterator[list[str]]:
     first key's also opening its collection and the last key's closing it.
     A collection is then the list of its labels.
     """
-    keys = sorted(index_pairs(TypeC(n)))
+    # The first and last keys in sorted order: i <= n, and i = n forces j = n.
+    first, last = (1, 1), (n, n)
 
     def component(key: tuple[int, int], s: frozenset[int]) -> str:
-        opening = "    {\n" if key == keys[0] else ""
-        closing = "\n    }" if key == keys[-1] else ""
+        opening = "    {\n" if key == first else ""
+        closing = "\n    }" if key == last else ""
         return f',\n{opening}      "{key[0]},{key[1]}": {_ints(sorted(s), 3)}{closing}'
 
     return fixedpoints.iter_fixed_points(n, component)
@@ -277,22 +270,24 @@ def cmd_abl_verify(args) -> Output:
             seed = _int(text)
         except ValueError:
             raise UsageError(f"SPFLAG_SEED must be an integer, got {text!r}")
-    report = fixedpoints.abl_verify(lam, args.n, args.trials, seed)
+    # A point's values can outgrow the 4300 digits str() writes.
+    with _refused("cannot write the report: "):
+        report = fixedpoints.abl_verify(lam, args.n, args.trials, seed)
     return 0 if report["matched"] else 1, [_text(report)]
 
 
 def cmd_discrepancy(args) -> Output:
-    d = _valid_d(_parse_ints(args.d, "d"), args.n)
+    d = _parse_ints(args.d, "d")
+    with _refused(""):
+        check_d(d, args.n)
     rows = bundles.discrepancy_table(d, args.n)
     b = {(r["i"], r["j"]): r["b"] for r in rows}
     identity_ok, _ = bundles.verify_canonical_identity(d, args.n, b)
     code = 0 if identity_ok else 1
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=["i", "j", "b", "exceptional"])
-        writer.writeheader()
-        writer.writerows(rows)
-        return code, [buf.getvalue()]
+        return code, ["i,j,b,exceptional\r\n"] + [
+            f'{r["i"]},{r["j"]},{r["b"]},{r["exceptional"]}\r\n' for r in rows
+        ]
     head = {"command": "discrepancy", "n": args.n, "d": list(d)}
     identity = {"canonical_identity": identity_ok}
     return code, _document(head, "rows", _rows(rows), lambda count: identity)
@@ -339,9 +334,6 @@ def _matrix_from_json(rows, two_n: int) -> geometry.Subspace:
         geometry.cleared([_json_rational(x) for x in _json_list(row, "a row")])
         for row in _json_list(rows, "a space")
     ]
-    for v in vecs:
-        if len(v) != two_n:
-            raise UsageError(f"matrix rows must have length {two_n}")
     return geometry.Subspace.span(vecs, two_n)
 
 
@@ -361,11 +353,9 @@ def _load_flag(path: str) -> tuple[geometry.FlagPoint, int]:
         )
     except (OSError, ValueError, TypeError, ArithmeticError, RecursionError) as exc:
         raise UsageError(f"cannot read flag point from {path}: {exc}")
-    _valid_d(d, n)
-    try:
+    with _refused(""):
+        check_d(d, n)
         return geometry.FlagPoint(d, spaces), n
-    except ValueError as exc:
-        raise UsageError(str(exc))
 
 
 def cmd_check_geometry(args) -> Output:
@@ -387,11 +377,9 @@ def cmd_lift(args) -> Output:
         point = geometry.lift(flag, n)
     except geometry.LiftError as exc:
         return 1, [_text({"command": "lift", "error": str(exc)})]
-    try:
+    # A lifted entry can outgrow the interpreter's 4300-digit limit on str().
+    with _refused(f"cannot write the lift of {args.input}: "):
         spaces = {f"{i},{j}": v.text_rows() for (i, j), v in sorted(point.spaces.items())}
-    except ValueError as exc:
-        # A lifted entry can outgrow the interpreter's 4300-digit limit on str().
-        raise UsageError(f"cannot write the lift of {args.input}: {exc}")
     doc = {"command": "lift", "n": n, "d": list(flag.d), "spaces": spaces}
     return 0, [_text(doc)]
 

@@ -153,7 +153,7 @@ class Subspace:
         vectors = list(vectors)
         for v in vectors:
             if len(v) != ambient:
-                raise ValueError("vector length does not match ambient dimension")
+                raise ValueError(f"vector length {len(v)} does not match ambient dimension {ambient}")
         return cls(rref(vectors), ambient)
 
     @classmethod

@@ -311,6 +311,8 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
     zero_denominator = {"n": 1, "d": [1], "spaces": [[["1/0", "1"]]]}
     # V_1 is given a 2-dimensional basis.
     wrong_dim = {"n": 2, "d": [1], "spaces": [[["1", "0", "0", "0"], ["0", "1", "0", "0"]]]}
+    # A row of length 2 where 2n = 4.
+    short_row = {"n": 2, "d": [1], "spaces": [[["1", "0"]]]}
     # Strings where arrays belong would be read character by character.
     row_as_text = {"n": 1, "d": [1], "spaces": [["12"]]}
     d_as_text = {"n": 2, "d": "12", "spaces": [[["1", "0", "0", "0"]], [["0", "1", "0", "0"]]]}
@@ -324,7 +326,7 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
     bool_entry = {"n": 1, "d": [True], "spaces": [[[True, "1"]]]}
     # Exponent notation would build a 5001-digit entry, or run for minutes.
     exponent_entries = [{"n": 1, "d": [1], "spaces": [[[e, "1"]]]} for e in ("1e5000", "1e30000000")]
-    docs = (zero_denominator, wrong_dim, row_as_text, d_as_text, float_n_d, float_entry, bool_entry,
+    docs = (zero_denominator, wrong_dim, short_row, row_as_text, d_as_text, float_n_d, float_entry, bool_entry,
             *exponent_entries)
     texts = [json.dumps(doc) for doc in docs]
     texts.append("[" * 100_000)  # nested deeper than the parser's recursion limit
@@ -355,8 +357,11 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
     fails(["lift", "--input", str(path)])
 
     # Answers past the 4300 digits Python writes as a string: the dimension
-    # 10^4300 has 4301, and the count 2^14400 at n = 120 has 4335.
+    # 10^4300 has 4301, the count 2^14400 at n = 120 has 4335, and a value
+    # of the character at lambda = 1600 outgrows the limit at seed 0 (seeds
+    # 1, 4 and 5 stay under it, hence the explicit --seed).
     fails(["dim", "--n", "1", "--lambda", "9" * 4300])
+    fails(["abl-verify", "--n", "1", "--lambda", "1600", "--trials", "1", "--seed", "0"])
     fails(["fixed-points", "--n", "120", "--count"])
     fails(["fixed-points", "--n", "120", "--force", "--count"])
     fails(["fixed-points", "--n", "120", "--force"])

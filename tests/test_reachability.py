@@ -63,7 +63,7 @@ EXTRA_FLAGS = {
 
 # Argv beyond the golden set, with the exit status each must give.
 EXTRA = {
-    "abl-verify --n 1 --lambda 1 --trials x": 2,  # `_positive_int`'s fallback
+    "abl-verify --n 1 --lambda 1 --trials x": 2,  # refused by `_integer`, which `_positive_int` reads through
     "abl-verify --n 1 --lambda 1 --trials 1": 0,  # the seed from SPFLAG_SEED
     "check-geometry --input {ints_not_isotropic}": 1,
     "lift --input {no_rows}": 2,
